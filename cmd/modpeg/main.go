@@ -339,9 +339,10 @@ func cmdParse(args []string, stdin io.Reader, w io.Writer) error {
 		return fmt.Errorf("parse: -edits requires -incremental")
 	}
 
-	var v modpeg.Value
-	var stats modpeg.ParseStats
-	var prof *modpeg.Profile
+	// One parse call: the limits always apply, and at most one hook
+	// observes the run.
+	popts := modpeg.ParseOptions{Limits: lim}
+	var profiler *modpeg.Profiler
 	var trace *modpeg.TraceExporter
 	switch {
 	case *traceJSON != "":
@@ -354,22 +355,21 @@ func cmdParse(args []string, stdin io.Reader, w io.Writer) error {
 		}
 		defer f.Close()
 		trace = p.NewTraceJSON(f)
-		if governed {
-			v, stats, err = p.ParseContextWithHook(context.Background(), name, string(input), lim, trace)
-		} else {
-			v, stats, err = p.ParseWithHook(name, string(input), trace)
+		popts.Hook = trace
+	case *withTrace:
+		if *withProfile {
+			return fmt.Errorf("parse: -trace is mutually exclusive with -profile")
 		}
+		popts.Hook = p.NewTraceText(w)
+	case *withProfile:
+		profiler = p.NewProfiler()
+		popts.Hook = profiler
+	}
+	v, stats, err := p.ParseWith(context.Background(), name, string(input), popts)
+	if trace != nil {
 		if cerr := trace.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
-	case *withTrace:
-		v, err = p.ParseWithTrace(name, string(input), w)
-	case *withProfile:
-		v, stats, prof, err = p.ParseWithProfile(name, string(input))
-	case governed:
-		v, stats, err = p.NewSession().ParseContext(context.Background(), name, string(input), lim)
-	default:
-		v, stats, err = p.ParseWithStats(name, string(input))
 	}
 	if err != nil {
 		if pe, ok := err.(*vm.ParseError); ok {
@@ -395,8 +395,8 @@ func cmdParse(args []string, stdin io.Reader, w io.Writer) error {
 	if trace != nil {
 		fmt.Fprintf(w, "trace: %d events written to %s\n", trace.Events(), *traceJSON)
 	}
-	if prof != nil {
-		fmt.Fprintf(w, "\nhot productions:\n%s", prof.Report(10))
+	if profiler != nil {
+		fmt.Fprintf(w, "\nhot productions:\n%s", profiler.Profile().Report(10))
 	}
 	return nil
 }
@@ -588,7 +588,7 @@ func cmdProfile(args []string, stdin io.Reader, w io.Writer) error {
 	}
 	var stats modpeg.ParseStats
 	for i := 0; i < *reps; i++ {
-		_, st, err := p.ParseWithHook(name, string(input), hook)
+		_, st, err := p.ParseWith(context.Background(), name, string(input), modpeg.ParseOptions{Hook: hook})
 		if err != nil {
 			if trace != nil {
 				trace.Close()

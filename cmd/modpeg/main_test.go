@@ -108,28 +108,47 @@ func TestParseStdinAndFile(t *testing.T) {
 }
 
 func TestParseWithLimits(t *testing.T) {
-	// Generous limits: the parse completes and reports stats.
-	out, errb, code := runCmd(t, "1+2*3", "parse", "-stats",
-		"-timeout", "10s", "-max-memo", "1048576", "-max-depth", "10000", "calc.core")
-	if code != 0 || !strings.Contains(out, "(Add") || !strings.Contains(out, "stats:") {
-		t.Fatalf("governed parse: code=%d out=%q err=%q", code, out, errb)
-	}
-	// A depth limit a nested input blows: typed limit failure, exit 1.
 	deep := strings.Repeat("(", 5000) + "1" + strings.Repeat(")", 5000)
-	_, errb, code = runCmd(t, deep, "parse", "-max-depth", "64", "calc.core")
-	if code != 1 || !strings.Contains(errb, "call depth") {
-		t.Fatalf("depth limit: code=%d err=%q", code, errb)
-	}
-	// Strict memo budget: hard failure instead of shedding.
+	deep200 := strings.Repeat("(", 200) + "1" + strings.Repeat(")", 200)
 	big := strings.Repeat("1+", 4000) + "1"
-	_, errb, code = runCmd(t, big, "parse", "-max-memo", "512", "-strict", "calc.core")
-	if code != 1 || !strings.Contains(errb, "memo footprint") {
-		t.Fatalf("strict memo: code=%d err=%q", code, errb)
+	cases := []struct {
+		name   string
+		input  string
+		args   []string
+		code   int
+		stdout []string // substrings stdout must contain
+		stderr string   // substring stderr must contain
+	}{
+		// Generous limits: the parse completes and reports stats.
+		{"generous", "1+2*3", []string{"-stats", "-timeout", "10s", "-max-memo", "1048576", "-max-depth", "10000", "calc.core"},
+			0, []string{"(Add", "stats:"}, ""},
+		// A depth limit a nested input blows: typed limit failure, exit 1.
+		{"depth", deep, []string{"-max-depth", "64", "calc.core"}, 1, nil, "call depth"},
+		// The limits apply whichever hook observes the parse.
+		{"depth-profile", deep200, []string{"-profile", "-max-depth", "16", "calc.full"}, 1, nil, "call depth"},
+		{"depth-trace", deep200, []string{"-trace", "-max-depth", "16", "calc.full"}, 1, nil, "call depth"},
+		{"depth-trace-json", deep200, []string{"-trace-json", filepath.Join(t.TempDir(), "t.json"), "-max-depth", "16", "calc.full"}, 1, nil, "call depth"},
+		// Strict memo budget: hard failure instead of shedding.
+		{"strict-memo", big, []string{"-max-memo", "512", "-strict", "calc.core"}, 1, nil, "memo footprint"},
+		// The same budget without -strict degrades and still prints the AST.
+		{"shedding", big, []string{"-max-memo", "512", "-stats", "calc.core"}, 0, []string{"(Add", "sheds=1"}, ""},
+		{"shedding-profile", big, []string{"-max-memo", "512", "-stats", "-profile", "calc.core"},
+			0, []string{"(Add", "sheds=1", "hot productions:"}, ""},
+		// Two hooks on one parse are refused, not silently dropped.
+		{"trace-and-profile", "1+2", []string{"-trace", "-profile", "calc.core"}, 1, nil, "mutually exclusive"},
 	}
-	// The same budget without -strict degrades and still prints the AST.
-	out, errb, code = runCmd(t, big, "parse", "-max-memo", "512", "-stats", "calc.core")
-	if code != 0 || !strings.Contains(out, "(Add") || !strings.Contains(out, "sheds=1") {
-		t.Fatalf("shedding parse: code=%d out=%q err=%q", code, out, errb)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			out, errb, code := runCmd(t, c.input, append([]string{"parse"}, c.args...)...)
+			if code != c.code || !strings.Contains(errb, c.stderr) {
+				t.Fatalf("code=%d (want %d) err=%q (want %q)", code, c.code, errb, c.stderr)
+			}
+			for _, want := range c.stdout {
+				if !strings.Contains(out, want) {
+					t.Fatalf("stdout missing %q:\n%s", want, out)
+				}
+			}
+		})
 	}
 }
 

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strconv"
@@ -32,7 +33,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	value, stats, err := parser.ParseWithStats("doc.json", doc)
+	value, stats, err := parser.ParseWith(context.Background(), "doc.json", doc, modpeg.ParseOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -42,7 +43,7 @@ func TestGeneratedMatchesInterpreter(t *testing.T) {
 		"(1",
 	}
 	for _, in := range inputs {
-		vVM, _, errVM := prog.Parse(text.NewSource("in", in))
+		vVM, _, errVM := prog.Parse(context.Background(), text.NewSource("in", in), vm.ParseOptions{})
 		vGen, errGen := gencalc.Parse(in)
 		if (errVM == nil) != (errGen == nil) {
 			t.Fatalf("input %q: vm err=%v, gen err=%v", in, errVM, errGen)

@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"context"
 	"go/format"
 	"os"
 	"testing"
@@ -63,7 +64,7 @@ func TestGenjsonMatchesInterpreter(t *testing.T) {
 		inputs = append(inputs, workload.JSONDoc(workload.Config{Seed: seed, Size: 2000}))
 	}
 	for _, in := range inputs {
-		vVM, _, errVM := prog.Parse(text.NewSource("in", in))
+		vVM, _, errVM := prog.Parse(context.Background(), text.NewSource("in", in), vm.ParseOptions{})
 		vGen, errGen := genjson.Parse(in)
 		if (errVM == nil) != (errGen == nil) {
 			t.Fatalf("input %.40q: vm err=%v, gen err=%v", in, errVM, errGen)

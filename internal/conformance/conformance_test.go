@@ -11,6 +11,7 @@
 package conformance
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"os/exec"
@@ -140,7 +141,7 @@ func TestInterpretedEnginesAgree(t *testing.T) {
 			}
 			for _, c := range corporaFor(top) {
 				src := text.NewSource(c.name, c.input)
-				refV, _, refErr := ref.prog.Parse(src)
+				refV, _, refErr := ref.prog.Parse(context.Background(), src, vm.ParseOptions{})
 				if c.mustParse && refErr != nil {
 					t.Fatalf("%s/%s: generated corpus must parse, got %v", top, c.name, refErr)
 				}
@@ -148,7 +149,7 @@ func TestInterpretedEnginesAgree(t *testing.T) {
 					if l.name == ref.name {
 						continue
 					}
-					v, _, err := l.prog.Parse(src)
+					v, _, err := l.prog.Parse(context.Background(), src, vm.ParseOptions{})
 					if (err == nil) != (refErr == nil) {
 						t.Fatalf("%s/%s: %s accept=%v vs optimized accept=%v\n %s: %v\n optimized: %v",
 							top, c.name, l.name, err == nil, refErr == nil, l.name, err, refErr)
@@ -280,7 +281,7 @@ func main() {
 				t.Fatal(err)
 			}
 			fmt.Fprintf(&manifest, "%d\t%s\t%s\n", i, inPath, outPath)
-			v, _, err := prog.Parse(text.NewSource(c.name, c.input))
+			v, _, err := prog.Parse(context.Background(), text.NewSource(c.name, c.input), vm.ParseOptions{})
 			e := expect{top: top, name: c.name, accept: err == nil}
 			if err == nil {
 				e.out = ast.Format(v)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -52,7 +53,7 @@ func TestAblationEquivalence(t *testing.T) {
 		failed bool
 	}
 	parse := func(prog *vm.Program, name, input string) result {
-		v, _, err := prog.Parse(text.NewSource(name, input))
+		v, _, err := prog.Parse(context.Background(), text.NewSource(name, input), vm.ParseOptions{})
 		if err != nil {
 			pe, ok := err.(*vm.ParseError)
 			if !ok {

@@ -313,12 +313,12 @@ func Table2(opts Options) Table {
 			t.Notes = append(t.Notes, fmt.Sprintf("%s: %v", c.Name, err))
 			continue
 		}
-		_, stats, err := prog.Parse(src)
+		_, stats, err := prog.Parse(context.Background(), src, vm.ParseOptions{})
 		if err != nil {
 			t.Notes = append(t.Notes, fmt.Sprintf("%s: %v", c.Name, err))
 			continue
 		}
-		d := measure(opts.MinTime, func() { prog.Parse(src) })
+		d := measure(opts.MinTime, func() { prog.Parse(context.Background(), src, vm.ParseOptions{}) })
 		if base == 0 {
 			base = d
 		}
@@ -377,24 +377,24 @@ func Table3(opts Options) Table {
 					t.Notes = append(t.Notes, fmt.Sprintf("%s/%s: %v", c.lang, e.name, err))
 					continue
 				}
-				_, _, profile, err := base.ParseWithProfile(src)
-				if err != nil {
+				pr := base.NewProfiler()
+				if _, _, err := base.Parse(context.Background(), src, vm.ParseOptions{Hook: pr}); err != nil {
 					t.Notes = append(t.Notes, fmt.Sprintf("%s/%s: %v", c.lang, e.name, err))
 					continue
 				}
-				eopts.PGO = profile.PGO()
+				eopts.PGO = pr.Profile().PGO()
 			}
 			prog, err := buildProgram(c.top, e.topts, eopts)
 			if err != nil {
 				t.Notes = append(t.Notes, fmt.Sprintf("%s/%s: %v", c.lang, e.name, err))
 				continue
 			}
-			_, stats, err := prog.Parse(src)
+			_, stats, err := prog.Parse(context.Background(), src, vm.ParseOptions{})
 			if err != nil {
 				t.Notes = append(t.Notes, fmt.Sprintf("%s/%s: %v", c.lang, e.name, err))
 				continue
 			}
-			d := measure(opts.MinTime, func() { prog.Parse(src) })
+			d := measure(opts.MinTime, func() { prog.Parse(context.Background(), src, vm.ParseOptions{}) })
 			t.Rows = append(t.Rows, []string{
 				c.lang, e.name,
 				mbPerSec(len(c.input), d),
@@ -456,8 +456,8 @@ func Table4(opts Options) Table {
 		return t
 	}
 	src := text.NewSource("bench", input)
-	dBase := measure(opts.MinTime, func() { baseProg.Parse(src) })
-	dFull := measure(opts.MinTime, func() { fullProg.Parse(src) })
+	dBase := measure(opts.MinTime, func() { baseProg.Parse(context.Background(), src, vm.ParseOptions{}) })
+	dFull := measure(opts.MinTime, func() { fullProg.Parse(context.Background(), src, vm.ParseOptions{}) })
 	t.Rows = append(t.Rows, []string{
 		"parse base-language corpus (MB/s)",
 		mbPerSec(len(input), dBase),
@@ -468,7 +468,7 @@ func Table4(opts Options) Table {
 		fmt.Sprintf("%.2fx", float64(dFull)/float64(dBase)),
 	})
 	extSrc := text.NewSource("bench", extInput)
-	dExt := measure(opts.MinTime, func() { fullProg.Parse(extSrc) })
+	dExt := measure(opts.MinTime, func() { fullProg.Parse(context.Background(), extSrc, vm.ParseOptions{}) })
 	t.Rows = append(t.Rows, []string{
 		"parse extended-language corpus (MB/s)", "n/a (rejects)",
 		mbPerSec(len(extInput), dExt),
@@ -536,21 +536,21 @@ func Table5(opts Options) Table {
 	}{
 		{"cold session per parse", func() {
 			for _, src := range srcs {
-				prog.NewSession().Parse(src)
+				prog.NewSession().Parse(context.Background(), src, vm.ParseOptions{})
 			}
 		}},
 		{"pooled (Program.Parse)", func() {
 			for _, src := range srcs {
-				prog.Parse(src)
+				prog.Parse(context.Background(), src, vm.ParseOptions{})
 			}
 		}},
 		{"reused session", func() {
 			for _, src := range srcs {
-				session.Parse(src)
+				session.Parse(context.Background(), src, vm.ParseOptions{})
 			}
 		}},
 		{"batch-parallel (ParseAll)", func() {
-			prog.ParseAll(srcs, workers)
+			prog.ParseAll(context.Background(), srcs, workers, vm.Limits{})
 		}},
 	}
 	var base time.Duration
@@ -598,17 +598,17 @@ func Table7(opts Options) Table {
 	}
 
 	// Baseline vs armed-but-unlimited governance.
-	_, full, err := prog.Parse(src)
+	_, full, err := prog.Parse(context.Background(), src, vm.ParseOptions{})
 	if err != nil {
 		t.Notes = append(t.Notes, err.Error())
 		return t
 	}
-	dPlain := measure(opts.MinTime, func() { prog.Parse(src) })
+	dPlain := measure(opts.MinTime, func() { prog.Parse(context.Background(), src, vm.ParseOptions{}) })
 	t.Rows = append(t.Rows, []string{
 		"ungoverned baseline", "-", "completes", mbPerSec(len(input), dPlain),
 		fmt.Sprintf("memo %d KB", full.MemoBytes/1024),
 	})
-	dGov := measure(opts.MinTime, func() { prog.ParseContext(ctx, src, vm.Limits{}) })
+	dGov := measure(opts.MinTime, func() { prog.Parse(ctx, src, vm.ParseOptions{}) })
 	t.Rows = append(t.Rows, []string{
 		"governed, zero limits", "-", "completes", mbPerSec(len(input), dGov),
 		fmt.Sprintf("overhead %.2fx", float64(dGov)/float64(dPlain)),
@@ -617,18 +617,18 @@ func Table7(opts Options) Table {
 	// Memo-budget shedding: quarter of the corpus's natural footprint.
 	budget := full.MemoBytes / 4
 	session := prog.NewSession()
-	_, shedStats, err := session.ParseContext(ctx, src, vm.Limits{MaxMemoBytes: budget})
+	_, shedStats, err := session.Parse(ctx, src, vm.ParseOptions{Limits: vm.Limits{MaxMemoBytes: budget}})
 	if err != nil {
 		t.Notes = append(t.Notes, fmt.Sprintf("shedding: %v", err))
 	} else {
-		dShed := measure(opts.MinTime, func() { session.ParseContext(ctx, src, vm.Limits{MaxMemoBytes: budget}) })
+		dShed := measure(opts.MinTime, func() { session.Parse(ctx, src, vm.ParseOptions{Limits: vm.Limits{MaxMemoBytes: budget}}) })
 		t.Rows = append(t.Rows, []string{
 			"memo budget (shedding)", fmt.Sprintf("%d KB", budget/1024),
 			"completes degraded", mbPerSec(len(input), dShed),
 			fmt.Sprintf("peak memo %d KB, sheds %d", shedStats.MemoBytes/1024, shedStats.MemoSheds),
 		})
 	}
-	if _, _, err := prog.ParseContext(ctx, src, vm.Limits{MaxMemoBytes: budget, Strict: true}); err != nil {
+	if _, _, err := prog.Parse(ctx, src, vm.ParseOptions{Limits: vm.Limits{MaxMemoBytes: budget, Strict: true}}); err != nil {
 		t.Rows = append(t.Rows, []string{
 			"memo budget (strict)", fmt.Sprintf("%d KB", budget/1024),
 			outcomeOf(err), "-", "-",
@@ -642,7 +642,7 @@ func Table7(opts Options) Table {
 		t.Notes = append(t.Notes, err.Error())
 		return t
 	}
-	if _, _, err := calcProg.ParseContext(ctx, deep, vm.Limits{MaxCallDepth: 256}); err != nil {
+	if _, _, err := calcProg.Parse(ctx, deep, vm.ParseOptions{Limits: vm.Limits{MaxCallDepth: 256}}); err != nil {
 		t.Rows = append(t.Rows, []string{
 			"call depth, 20000-deep parens", "256", outcomeOf(err), "-", "-",
 		})
@@ -670,7 +670,7 @@ func Table7(opts Options) Table {
 	var lastErr error
 	for i := 0; i < 10; i++ {
 		start := time.Now()
-		_, _, lastErr = pathProg.ParseContext(ctx, advSrc, vm.Limits{MaxParseDuration: time.Millisecond})
+		_, _, lastErr = pathProg.Parse(ctx, advSrc, vm.ParseOptions{Limits: vm.Limits{MaxParseDuration: time.Millisecond}})
 		if d := time.Since(start); d > worst {
 			worst = d
 		}
@@ -724,7 +724,7 @@ func HotProds(opts Options) Table {
 	var stats vm.Stats
 	const reps = 3
 	for i := 0; i < reps; i++ {
-		_, st, err := prog.ParseWithHook(src, pr)
+		_, st, err := prog.Parse(context.Background(), src, vm.ParseOptions{Hook: pr})
 		if err != nil {
 			t.Notes = append(t.Notes, err.Error())
 			return t
@@ -748,8 +748,8 @@ func HotProds(opts Options) Table {
 	t.Notes = append(t.Notes, fmt.Sprintf(
 		"profile aggregates %d parses; total calls %d == engine stats calls %d",
 		reps, prof.TotalCalls(), stats.Calls))
-	dPlain := measure(opts.MinTime, func() { prog.Parse(src) })
-	dProf := measure(opts.MinTime, func() { prog.ParseWithHook(src, pr) })
+	dPlain := measure(opts.MinTime, func() { prog.Parse(context.Background(), src, vm.ParseOptions{}) })
+	dProf := measure(opts.MinTime, func() { prog.Parse(context.Background(), src, vm.ParseOptions{Hook: pr}) })
 	t.Notes = append(t.Notes, fmt.Sprintf(
 		"profiler overhead: %.2fx (%s plain, %s profiled per parse)",
 		float64(dProf)/float64(dPlain), dPlain, dProf))
@@ -775,7 +775,7 @@ func Fig1(opts Options) Table {
 	for _, kb := range []int{4, 16, 64, 256} {
 		input := workload.JavaProgram(workload.Config{Seed: 5, Size: kb * 1024})
 		src := text.NewSource("bench", input)
-		d := measure(opts.MinTime, func() { prog.Parse(src) })
+		d := measure(opts.MinTime, func() { prog.Parse(context.Background(), src, vm.ParseOptions{}) })
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(len(input) / 1024),
 			d.String(),
@@ -812,7 +812,7 @@ func Fig2(opts Options) Table {
 				t.Notes = append(t.Notes, err.Error())
 				continue
 			}
-			_, stats, err := prog.Parse(src)
+			_, stats, err := prog.Parse(context.Background(), src, vm.ParseOptions{})
 			if err != nil {
 				t.Notes = append(t.Notes, err.Error())
 				continue
@@ -864,12 +864,12 @@ func Fig3(opts Options) Table {
 				t.Notes = append(t.Notes, err.Error())
 				continue
 			}
-			_, stats, err := prog.Parse(src)
+			_, stats, err := prog.Parse(context.Background(), src, vm.ParseOptions{})
 			if err != nil {
 				t.Notes = append(t.Notes, err.Error())
 				continue
 			}
-			d := measure(opts.MinTime/4, func() { prog.Parse(src) })
+			d := measure(opts.MinTime/4, func() { prog.Parse(context.Background(), src, vm.ParseOptions{}) })
 			t.Rows = append(t.Rows, []string{
 				fmt.Sprint(depth), e.name,
 				fmt.Sprint(stats.Calls),
@@ -919,11 +919,11 @@ func Table8(opts Options) Table {
 		} {
 			edited := input[:e.p.Insert.Off] + e.p.Insert.Text + input[e.p.Insert.Off:]
 			editedSrc := text.NewSource("bench", edited)
-			if _, _, err := prog.Parse(editedSrc); err != nil {
+			if _, _, err := prog.Parse(context.Background(), editedSrc, vm.ParseOptions{}); err != nil {
 				t.Notes = append(t.Notes, fmt.Sprintf("%dKB %s: %v", kb, e.name, err))
 				continue
 			}
-			full := measureBest(opts.MinTime, func() { prog.Parse(editedSrc) })
+			full := measureBest(opts.MinTime, func() { prog.Parse(context.Background(), editedSrc, vm.ParseOptions{}) })
 
 			d := prog.NewDocument(text.NewSource("bench", input))
 			if d.Err() != nil {
@@ -988,18 +988,18 @@ func Table9(opts Options) Table {
 		}
 		input := cfg.gen(workload.Config{Seed: 9, Size: opts.InputKB * 1024})
 		src := text.NewSource("bench", input)
-		if _, _, err := prog.Parse(src); err != nil {
+		if _, _, err := prog.Parse(context.Background(), src, vm.ParseOptions{}); err != nil {
 			t.Notes = append(t.Notes, fmt.Sprintf("%s: %v", cfg.top, err))
 			continue
 		}
 
 		vm.SetTelemetry(false)
-		bare := measure(opts.MinTime, func() { prog.Parse(src) })
+		bare := measure(opts.MinTime, func() { prog.Parse(context.Background(), src, vm.ParseOptions{}) })
 		vm.SetTelemetry(true)
-		withMetrics := measure(opts.MinTime, func() { prog.Parse(src) })
+		withMetrics := measure(opts.MinTime, func() { prog.Parse(context.Background(), src, vm.ParseOptions{}) })
 		traced := measure(opts.MinTime, func() {
 			tr := telemetry.NewTrace(prog, io.Discard)
-			prog.ParseWithHook(src, tr)
+			prog.Parse(context.Background(), src, vm.ParseOptions{Hook: tr})
 			tr.Close()
 		})
 

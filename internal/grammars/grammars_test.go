@@ -1,6 +1,7 @@
 package grammars
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -31,7 +32,7 @@ func buildProg(t *testing.T, top string) *vm.Program {
 
 func parseOK(t *testing.T, prog *vm.Program, input string) ast.Value {
 	t.Helper()
-	v, _, err := prog.Parse(text.NewSource("input", input))
+	v, _, err := prog.Parse(context.Background(), text.NewSource("input", input), vm.ParseOptions{})
 	if err != nil {
 		if pe, ok := err.(*vm.ParseError); ok {
 			t.Fatalf("parse failed: %v\n%s", err, pe.Detail())
@@ -43,7 +44,7 @@ func parseOK(t *testing.T, prog *vm.Program, input string) ast.Value {
 
 func parseFails(t *testing.T, prog *vm.Program, input string) {
 	t.Helper()
-	if _, _, err := prog.Parse(text.NewSource("input", input)); err == nil {
+	if _, _, err := prog.Parse(context.Background(), text.NewSource("input", input), vm.ParseOptions{}); err == nil {
 		t.Fatalf("parse of %q must fail", input)
 	}
 }
@@ -521,7 +522,7 @@ func TestBundledGrammarsEngineEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			v, _, err := prog.Parse(text.NewSource("in", c.input))
+			v, _, err := prog.Parse(context.Background(), text.NewSource("in", c.input), vm.ParseOptions{})
 			if err != nil {
 				t.Fatalf("%s %v: %v", c.top, opts, err)
 			}

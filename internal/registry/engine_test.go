@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"modpeg"
 )
 
 // TestUploadEngineSelection covers the per-version engine choice: an
@@ -80,13 +82,13 @@ func TestHotSwapEngineRace(t *testing.T) {
 					t.Errorf("goroutine %d: acquire: %v", g, err)
 					return
 				}
-				_, perr := lease.Parser.ParseContext(context.Background(), "req", input, lease.Limits)
+				_, _, perr := lease.Parser.ParseWith(context.Background(), "req", input, modpeg.ParseOptions{Limits: lease.Limits})
 				if perr != nil {
 					t.Errorf("goroutine %d: %q must parse on %s: %v", g, "a...", lease.Label, perr)
 					lease.Release()
 					return
 				}
-				if _, perr := lease.Parser.ParseContext(context.Background(), "req", "b"+input, lease.Limits); perr == nil {
+				if _, _, perr := lease.Parser.ParseWith(context.Background(), "req", "b"+input, modpeg.ParseOptions{Limits: lease.Limits}); perr == nil {
 					t.Errorf("goroutine %d: %q must be rejected on %s", g, "b...", lease.Label)
 					lease.Release()
 					return

@@ -569,7 +569,7 @@ func (r *Registry) smoke(parser *modpeg.Parser, probes []Probe, lim modpeg.Limit
 		if name == "" {
 			name = fmt.Sprintf("probe[%d]", i)
 		}
-		_, err := parser.ParseContext(context.Background(), name, p.Input, lim)
+		_, _, err := parser.ParseWith(context.Background(), name, p.Input, modpeg.ParseOptions{Limits: lim})
 		if p.Fail {
 			var pe *modpeg.ParseError
 			if err == nil {

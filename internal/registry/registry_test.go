@@ -99,7 +99,7 @@ func parseWith(t *testing.T, r *Registry, tenant, name string, version int, inpu
 		t.Fatalf("acquire %s/%s@%d: %v", tenant, name, version, err)
 	}
 	defer lease.Release()
-	_, err = lease.Parser.ParseContext(context.Background(), "test", input, lease.Limits)
+	_, _, err = lease.Parser.ParseWith(context.Background(), "test", input, modpeg.ParseOptions{Limits: lease.Limits})
 	if err != nil {
 		var pe *modpeg.ParseError
 		if !errors.As(err, &pe) {
@@ -391,7 +391,7 @@ func TestTenantLimitsTightenOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lease.Release()
-	_, err = lease.Parser.ParseContext(context.Background(), "big", strings.Repeat("a", 50), lease.Limits)
+	_, _, err = lease.Parser.ParseWith(context.Background(), "big", strings.Repeat("a", 50), modpeg.ParseOptions{Limits: lease.Limits})
 	var le *modpeg.LimitError
 	if !errors.As(err, &le) {
 		t.Fatalf("oversized parse error = %v, want a limit error", err)
@@ -549,7 +549,7 @@ func TestSwapNeverMixed(t *testing.T) {
 }
 
 func parses(l *Lease, input string) bool {
-	_, err := l.Parser.ParseContext(context.Background(), "race", input, l.Limits)
+	_, _, err := l.Parser.ParseWith(context.Background(), "race", input, modpeg.ParseOptions{Limits: l.Limits})
 	return err == nil
 }
 

@@ -521,20 +521,17 @@ func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 	}
 	lim := effectiveLimits(base, &req)
 
-	var (
-		val      modpeg.Value
-		st       modpeg.ParseStats
-		parseErr error
-		profiler *modpeg.Profiler
-	)
+	var profiler *modpeg.Profiler
 	traceID := traceIDFrom(r.Context())
-	start := time.Now()
+	opts := modpeg.ParseOptions{Limits: lim, TraceID: traceID}
 	if req.Profile {
+		// Only a real profiler goes in the interface: a nil *Profiler
+		// there would be a non-nil hook.
 		profiler = p.NewProfiler()
-		val, st, parseErr = p.ParseContextTracedWithHook(r.Context(), name, req.Input, lim, traceID, profiler)
-	} else {
-		val, st, parseErr = p.ParseContextTraced(r.Context(), name, req.Input, lim, traceID)
+		opts.Hook = profiler
 	}
+	start := time.Now()
+	val, st, parseErr := p.ParseWith(r.Context(), name, req.Input, opts)
 	elapsed := time.Since(start)
 	telemetry.LogParse(s.cfg.Logger, p.Label(), name, len(req.Input), elapsed, st, parseErr)
 	if trigger := flightTrigger(elapsed, slowParse, parseErr); trigger != "" {

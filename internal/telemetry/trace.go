@@ -21,7 +21,7 @@ import (
 // array and flush:
 //
 //	tr := telemetry.NewTrace(prog, f)
-//	prog.ParseWithHook(src, tr)
+//	prog.Parse(ctx, src, vm.ParseOptions{Hook: tr})
 //	err := tr.Close()
 //
 // A Trace serves one parsing goroutine; consecutive parses may share

@@ -69,8 +69,8 @@ func FuzzCompiledParse(f *testing.F) {
 		src := text.NewSource("fuzz", input)
 
 		// Ungoverned differential check: exact equivalence.
-		wantV, _, wantErr := p.opt.Parse(src)
-		gotV, _, gotErr := p.comp.Parse(src)
+		wantV, _, wantErr := p.opt.Parse(context.Background(), src, ParseOptions{})
+		gotV, _, gotErr := p.comp.Parse(context.Background(), src, ParseOptions{})
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("accept disagrees\ninput: %q\ncompiled: %v\noptimized: %v", input, gotErr, wantErr)
 		}
@@ -98,7 +98,7 @@ func FuzzCompiledParse(f *testing.F) {
 			MaxParseDuration: 50 * time.Millisecond,
 			Strict:           strict,
 		}
-		gv, gstats, gerr := p.comp.ParseContext(context.Background(), src, lim)
+		gv, gstats, gerr := p.comp.Parse(context.Background(), src, ParseOptions{Limits: lim})
 		if gerr != nil {
 			var ee *EngineError
 			if errors.As(gerr, &ee) {

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -20,11 +21,11 @@ func TestCompiledZeroAllocs(t *testing.T) {
 	src := text.NewSource("in", input)
 	prog := build(t, voidCalcGrammar, CompiledEngine())
 	s := prog.NewSession()
-	if _, _, err := s.Parse(src); err != nil {
+	if _, _, err := s.Parse(context.Background(), src, ParseOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, _, err := s.Parse(src); err != nil {
+		if _, _, err := s.Parse(context.Background(), src, ParseOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -47,8 +48,8 @@ func TestCompiledMatchesOptimized(t *testing.T) {
 		}
 		for _, in := range inputs {
 			src := text.NewSource("in", in)
-			wantV, _, wantErr := opt.Parse(src)
-			gotV, _, gotErr := comp.Parse(src)
+			wantV, _, wantErr := opt.Parse(context.Background(), src, ParseOptions{})
+			gotV, _, gotErr := comp.Parse(context.Background(), src, ParseOptions{})
 			if errStr(gotErr) != errStr(wantErr) {
 				t.Fatalf("%q: compiled err %q, optimized err %q", in, errStr(gotErr), errStr(wantErr))
 			}
@@ -96,7 +97,7 @@ func TestCompiledIncrementalAgrees(t *testing.T) {
 		}
 		reused += stats.MemoReused
 		txt = txt[:e.Off] + e.Text + txt[e.Off+e.OldLen:]
-		want, _, werr := fresh.Parse(text.NewSource("scratch", txt))
+		want, _, werr := fresh.Parse(context.Background(), text.NewSource("scratch", txt), ParseOptions{})
 		if werr != nil {
 			t.Fatalf("edit %d: scratch parse: %v", i, werr)
 		}
@@ -122,7 +123,7 @@ func TestCompiledConcurrentParseRace(t *testing.T) {
 	for i, in := range inputs {
 		src := text.NewSource(fmt.Sprintf("in%d", i), in)
 		srcs = append(srcs, src)
-		v, _, err := prog.NewSession().Parse(src)
+		v, _, err := prog.NewSession().Parse(context.Background(), src, ParseOptions{})
 		if err != nil {
 			want = append(want, "")
 		} else {
@@ -142,13 +143,13 @@ func TestCompiledConcurrentParseRace(t *testing.T) {
 				var err error
 				switch (g + i) % 3 {
 				case 0:
-					v, _, err = prog.Parse(srcs[k])
+					v, _, err = prog.Parse(context.Background(), srcs[k], ParseOptions{})
 				case 1:
 					s := prog.NewSession()
-					s.Parse(srcs[(k+1)%len(srcs)])
-					v, _, err = s.Parse(srcs[k])
+					s.Parse(context.Background(), srcs[(k+1)%len(srcs)], ParseOptions{})
+					v, _, err = s.Parse(context.Background(), srcs[k], ParseOptions{})
 				default:
-					results := prog.ParseAll(srcs, 3)
+					results := prog.ParseAll(context.Background(), srcs, 3, Limits{})
 					if len(results) != len(srcs) {
 						t.Errorf("batch returned %d results", len(results))
 						return

@@ -191,7 +191,7 @@ func TestFuzzEngineEquivalence(t *testing.T) {
 			{"memoall-chunks/defaults", transform.Defaults(),
 				Options{Memoize: true, MemoEverything: true, ChunkedMemo: true, Dispatch: true}},
 		}
-		var progs []*Program
+		var parsers []*Parser
 		for _, c := range configs {
 			tg, _, err := transform.Apply(g, c.topts)
 			if err != nil {
@@ -201,15 +201,15 @@ func TestFuzzEngineEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d %s: compile: %v\n%s", seed, c.name, err, peg.FormatGrammar(g))
 			}
-			progs = append(progs, prog)
+			parsers = append(parsers, prog.NewSession().ps)
 		}
 
 		for trial := 0; trial < 25; trial++ {
 			input := randomInput(r)
 			src := text.NewSource("fuzz", input)
-			refV, refN, _, refErr := progs[0].ParsePrefix(src)
-			for ci, prog := range progs[1:] {
-				v, n, _, err := prog.ParsePrefix(src)
+			refV, refN, refErr := parsers[0].parsePrefix(src)
+			for ci, ps := range parsers[1:] {
+				v, n, err := ps.parsePrefix(src)
 				if (err == nil) != (refErr == nil) {
 					t.Fatalf("seed %d input %q: %s accept=%v vs %s accept=%v\ngrammar:\n%s",
 						seed, input, configs[ci+1].name, err == nil, configs[0].name, refErr == nil,

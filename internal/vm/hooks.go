@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-
-	"modpeg/internal/ast"
-	"modpeg/internal/text"
 )
 
 // Hook receives parse events from the interpreter. Hooks are the
@@ -46,9 +43,9 @@ type Hook interface {
 }
 
 // ShedHook is an optional extension of Hook for governed parses
-// (ParseContext): when the installed hook also implements ShedHook, the
-// engine reports the moment a memo-budget hit sheds memoization (see
-// Limits.MaxMemoBytes). pos is the input position at the shed;
+// (ParseOptions.Limits): when the installed hook also implements
+// ShedHook, the engine reports the moment a memo-budget hit sheds
+// memoization (see Limits.MaxMemoBytes). pos is the input position at the shed;
 // arenaBytes is the carved memo-arena footprint at that point. The
 // event fires at most once per parse, synchronously like every hook
 // event.
@@ -71,30 +68,21 @@ func (p *Program) ProductionName(prod int) string {
 	return p.prods[prod].name
 }
 
-// ParseWithHook is Parse with h receiving the parse's events. The hook
-// is installed for this parse only.
-func (p *Program) ParseWithHook(src *text.Source, h Hook) (ast.Value, Stats, error) {
-	ps := p.acquire()
-	ps.begin(src)
-	ps.hook = h
-	val, err := ps.run()
-	stats := ps.stats
-	p.release(ps)
-	return val, stats, err
-}
-
-// traceHook renders parse events as the human-readable call trace
-// ParseWithTrace streams: one line per production entry, exit, and memo
-// hit, indented by call depth. It is the reference Hook implementation —
-// the engine's original hard-wired trace, rebuilt on the event seam.
+// traceHook renders parse events as a human-readable call trace: one
+// line per production entry, exit, and memo hit, indented by call
+// depth. It is the reference Hook implementation — the engine's
+// original hard-wired trace, rebuilt on the event seam.
 type traceHook struct {
 	prog  *Program
 	w     io.Writer
 	depth int
 }
 
-func newTraceHook(prog *Program, w io.Writer) *traceHook {
-	return &traceHook{prog: prog, w: w}
+// NewTraceText returns a hook streaming the human-readable call trace
+// of the parses it is installed on to w. Intended for grammar
+// debugging, not production use.
+func (p *Program) NewTraceText(w io.Writer) Hook {
+	return &traceHook{prog: p, w: w}
 }
 
 func (t *traceHook) line(format string, args ...any) {

@@ -28,7 +28,7 @@ func buildTraceProg(t *testing.T) *Program {
 func traceOf(t *testing.T, prog *Program, input string, wantErr bool) string {
 	t.Helper()
 	var b strings.Builder
-	_, _, err := prog.ParseWithTrace(text.NewSource("in", input), &b)
+	_, _, err := prog.Parse(context.Background(), text.NewSource("in", input), ParseOptions{Hook: prog.NewTraceText(&b)})
 	if wantErr != (err != nil) {
 		t.Fatalf("parse %q: err = %v, wantErr %v", input, err, wantErr)
 	}
@@ -123,7 +123,7 @@ func TestHookEventNesting(t *testing.T) {
 	for _, cfg := range engineConfigs {
 		prog := build(t, calcGrammar, cfg)
 		rec := &recordingHook{t: t}
-		_, stats, err := prog.ParseWithHook(src, rec)
+		_, stats, err := prog.Parse(context.Background(), src, ParseOptions{Hook: rec})
 		if err != nil {
 			t.Fatalf("cfg %v: %v", cfg, err)
 		}
@@ -150,7 +150,7 @@ func TestHookEventNesting(t *testing.T) {
 func TestHookFailingParseStillBalanced(t *testing.T) {
 	prog := build(t, calcGrammar, Optimized())
 	rec := &recordingHook{t: t}
-	if _, _, err := prog.ParseWithHook(text.NewSource("in", "1+*2"), rec); err == nil {
+	if _, _, err := prog.Parse(context.Background(), text.NewSource("in", "1+*2"), ParseOptions{Hook: rec}); err == nil {
 		t.Fatal("expected syntax error")
 	}
 	if len(rec.stack) != 0 || rec.enters != rec.exits {
@@ -169,29 +169,19 @@ func TestDisabledInstrumentationZeroAllocs(t *testing.T) {
 	src := text.NewSource("in", input)
 	prog := build(t, voidCalcGrammar, Optimized())
 	s := prog.NewSession()
-	if _, _, err := s.Parse(src); err != nil {
+	// Zero ParseOptions under a background context: arming writes a
+	// handful of scalars and the governance edges never fire.
+	ctx := context.Background()
+	if _, _, err := s.Parse(ctx, src, ParseOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, _, err := s.Parse(src); err != nil {
+		if _, _, err := s.Parse(ctx, src, ParseOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
 		t.Errorf("disabled instrumentation added %.1f allocs/op to session parse, want 0", allocs)
-	}
-	// The governed entry point with a plain background context and zero
-	// Limits must be indistinguishable: arming writes a handful of
-	// scalars and the edges never fire, so the nil-Limits ParseContext
-	// path keeps the same zero-allocation steady state.
-	ctx := context.Background()
-	allocs = testing.AllocsPerRun(20, func() {
-		if _, _, err := s.ParseContext(ctx, src, Limits{}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("nil-Limits ParseContext added %.1f allocs/op to session parse, want 0", allocs)
 	}
 	// The pooled path carries the same guarantee once the pool is warm —
 	// except under the race detector, which deliberately randomizes
@@ -201,30 +191,22 @@ func TestDisabledInstrumentationZeroAllocs(t *testing.T) {
 		t.Log("race detector on: skipping pooled-path alloc assertion")
 		return
 	}
-	if _, _, err := prog.Parse(src); err != nil {
-		t.Fatal(err)
-	}
-	allocs = testing.AllocsPerRun(20, func() {
-		if _, _, err := prog.Parse(src); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("disabled instrumentation added %.1f allocs/op to pooled parse, want 0", allocs)
-	}
-	// The traced entry point with sampling off and an empty trace ID is
-	// the serve layer's default hot path: the sampling decision is one
+	// The pooled parse with sampling off and an empty trace ID is the
+	// serve layer's default hot path: the sampling decision is one
 	// atomic load in acquire and the exemplar branch one string
 	// comparison in finishStats — neither may allocate.
 	if prog.Sampling() != 0 {
 		t.Fatalf("Sampling() = %d, want 0 by default", prog.Sampling())
 	}
+	if _, _, err := prog.Parse(ctx, src, ParseOptions{}); err != nil {
+		t.Fatal(err)
+	}
 	allocs = testing.AllocsPerRun(20, func() {
-		if _, _, err := prog.ParseContextTraced(ctx, src, Limits{}, ""); err != nil {
+		if _, _, err := prog.Parse(ctx, src, ParseOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("sampling-off untraced ParseContextTraced added %.1f allocs/op, want 0", allocs)
+		t.Errorf("disabled instrumentation added %.1f allocs/op to pooled parse, want 0", allocs)
 	}
 }

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -20,7 +21,7 @@ func noScan() Options {
 }
 
 func errText(prog *Program, input string) string {
-	_, _, err := prog.Parse(text.NewSource("input", input))
+	_, _, err := prog.Parse(context.Background(), text.NewSource("input", input), ParseOptions{})
 	if err == nil {
 		return ""
 	}
@@ -50,8 +51,8 @@ func TestScanFusionMatchesPerByte(t *testing.T) {
 		"abc 123" + ";;;;;", // trailing literal run to EOF
 	}
 	for _, in := range inputs {
-		fv, _, ferr := fused.Parse(text.NewSource("input", in))
-		pv, _, perr := plain.Parse(text.NewSource("input", in))
+		fv, _, ferr := fused.Parse(context.Background(), text.NewSource("input", in), ParseOptions{})
+		pv, _, perr := plain.Parse(context.Background(), text.NewSource("input", in), ParseOptions{})
 		if (ferr == nil) != (perr == nil) {
 			t.Fatalf("%q: fused err=%v, plain err=%v", in, ferr, perr)
 		}
@@ -97,8 +98,8 @@ Line = $([^\n]*) ;
 	fused := build(t, g, Optimized())
 	plain := build(t, g, noScan())
 	for _, in := range []string{"one\ntwo\nthree", "no newline", "", "\n\n"} {
-		fv, _, ferr := fused.Parse(text.NewSource("input", in))
-		pv, _, perr := plain.Parse(text.NewSource("input", in))
+		fv, _, ferr := fused.Parse(context.Background(), text.NewSource("input", in), ParseOptions{})
+		pv, _, perr := plain.Parse(context.Background(), text.NewSource("input", in), ParseOptions{})
 		if (ferr == nil) != (perr == nil) {
 			t.Fatalf("%q: fused err=%v, plain err=%v", in, ferr, perr)
 		}
@@ -117,7 +118,7 @@ public S = Kw !. ;
 Kw = $("if") / $("else") / $("while") / $("for") / $("return") ;
 `
 	prog := build(t, g, Optimized())
-	v, stats, err := prog.Parse(text.NewSource("input", "while"))
+	v, stats, err := prog.Parse(context.Background(), text.NewSource("input", "while"), ParseOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,8 +136,8 @@ Kw = $("if") / $("else") / $("while") / $("for") / $("return") ;
 	nodisp := Optimized()
 	nodisp.Dispatch = false
 	slow := build(t, g, nodisp)
-	_, _, ferr := prog.Parse(text.NewSource("input", "42"))
-	_, _, serr := slow.Parse(text.NewSource("input", "42"))
+	_, _, ferr := prog.Parse(context.Background(), text.NewSource("input", "42"), ParseOptions{})
+	_, _, serr := slow.Parse(context.Background(), text.NewSource("input", "42"), ParseOptions{})
 	fe, feOK := ferr.(*ParseError)
 	se, seOK := serr.(*ParseError)
 	if !feOK || !seOK {
@@ -178,8 +179,8 @@ func TestPGOInliningAgrees(t *testing.T) {
 	inlined := build(t, calcGrammar, pgo)
 	plain := build(t, calcGrammar, Optimized())
 	for _, in := range []string{"1 + 2*3", "(1+2)*3", "1 +", "x", "", "1 + 2)"} {
-		iv, _, ierr := inlined.Parse(text.NewSource("input", in))
-		pv, _, perr := plain.Parse(text.NewSource("input", in))
+		iv, _, ierr := inlined.Parse(context.Background(), text.NewSource("input", in), ParseOptions{})
+		pv, _, perr := plain.Parse(context.Background(), text.NewSource("input", in), ParseOptions{})
 		if (ierr == nil) != (perr == nil) {
 			t.Fatalf("%q: inlined err=%v, plain err=%v", in, ierr, perr)
 		}
@@ -203,11 +204,11 @@ func TestPGODropsMemoColumns(t *testing.T) {
 	inlined := build(t, calcGrammar, pgo)
 	plain := build(t, calcGrammar, Optimized())
 	in := "1+2*3+(4*5)+6"
-	_, istats, err := inlined.Parse(text.NewSource("input", in))
+	_, istats, err := inlined.Parse(context.Background(), text.NewSource("input", in), ParseOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, pstats, err := plain.Parse(text.NewSource("input", in))
+	_, pstats, err := plain.Parse(context.Background(), text.NewSource("input", in), ParseOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,19 +219,19 @@ func TestPGODropsMemoColumns(t *testing.T) {
 }
 
 func TestProfilePGORoundTrip(t *testing.T) {
-	// ParseWithProfile → Profile.PGO → Compile: the profile-driven
+	// A profiled parse → Profile.PGO → Compile: the profile-driven
 	// inline set must parse identically, and LoadPGO must accept the
 	// JSON report and reject garbage.
 	plain := build(t, calcGrammar, Optimized())
 	src := text.NewSource("input", "1+2*3+(4*5)+6")
-	_, _, report, err := plain.ParseWithProfile(src)
+	_, _, report, err := profiled(plain, src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := Optimized()
 	opts.PGO = report.PGO()
 	guided := build(t, calcGrammar, opts)
-	v, _, err := guided.Parse(src)
+	v, _, err := guided.Parse(context.Background(), src, ParseOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -152,7 +153,7 @@ func FuzzIncrementalParse(f *testing.F) {
 			}
 			// Oracle: a from-scratch parse of the document's current text
 			// (same source name, so error strings compare byte for byte).
-			val, stats, err := prog.Parse(text.NewSource("fuzz", d.Text()))
+			val, stats, err := prog.Parse(context.Background(), text.NewSource("fuzz", d.Text()), ParseOptions{})
 			if errString(err) != errString(d.Err()) {
 				t.Fatalf("error mismatch on %q\n doc:     %v\n scratch: %v",
 					d.Text(), d.Err(), err)

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -30,7 +31,7 @@ func checkAgainstScratch(t *testing.T, d *Document, label string) Stats {
 	t.Helper()
 	// Same source name as the document so error strings are comparable
 	// byte for byte (locations embed the name).
-	val, stats, err := d.prog.Parse(text.NewSource(d.Source().Name(), d.Text()))
+	val, stats, err := d.prog.Parse(context.Background(), text.NewSource(d.Source().Name(), d.Text()), ParseOptions{})
 	if errString(err) != errString(d.Err()) {
 		t.Fatalf("%s: error mismatch\n doc:     %v\n scratch: %v\n text: %q",
 			label, d.Err(), err, d.Text())

@@ -3,7 +3,6 @@ package vm
 import (
 	"context"
 	"fmt"
-	"io"
 	"math/bits"
 	"sort"
 	"strings"
@@ -226,7 +225,7 @@ type Parser struct {
 	// nil check per event site when disabled.
 	hook Hook
 
-	// Resource governance (limits.go), armed by ParseContext and reset
+	// Resource governance (limits.go), armed by runContext and reset
 	// to the open defaults by begin. On the ungoverned path these cost
 	// one predictable comparison per governed edge and nothing on the
 	// per-terminal hot path.
@@ -261,7 +260,7 @@ type Parser struct {
 	sampler       *Profiler
 	sampledParses int64
 	// traceID is the W3C trace ID of a traced parse
-	// (ParseContextTraced); finishStats records it as a latency-bucket
+	// (ParseOptions.TraceID); finishStats records it as a latency-bucket
 	// exemplar. Empty (reset by begin) for untraced parses.
 	traceID string
 }
@@ -269,42 +268,64 @@ type Parser struct {
 // maxExpected caps the recorded expectation set.
 const maxExpected = 16
 
-// Parse runs the program over src, requiring the root production to match
-// and to consume the whole input. It returns the semantic value and the
-// parse statistics.
+// ParseOptions configures one parse. The zero value is a plain parse:
+// unlimited, unhooked, and untraced, with the zero-allocation steady
+// state of the pooled and session paths.
+type ParseOptions struct {
+	// Limits bounds the parse: the parse aborts with a typed
+	// *LimitError when a budget blows or a deadline (the context's or
+	// Limits.MaxParseDuration's, whichever is sooner) passes, and sheds
+	// memoization when the memo budget is hit without Strict. The zero
+	// value is unlimited.
+	Limits Limits
+	// Hook, when non-nil, receives this parse's events (see Hook). A
+	// hooked parse runs the interpreter, which has the per-production
+	// seam the compiled engine lacks. Leave it nil rather than storing
+	// a nil pointer: a typed nil in the interface counts as a hook.
+	Hook Hook
+	// TraceID is the W3C trace ID of a traced parse (tracecontext.go):
+	// the latency observation records it as an exemplar, and a Hook
+	// implementing TraceContextHook receives it before the first event.
+	// Empty means untraced.
+	TraceID string
+}
+
+// Parse runs the program over src under ctx and opts, requiring the
+// root production to match and to consume the whole input. It returns
+// the semantic value and the parse statistics. A canceled context
+// stops the parse with a *LimitError; a context with no deadline and
+// no cancellation costs nothing.
 //
 // Parse draws its Parser from an internal pool, so a hot loop of parses
 // reaches a steady state with no parser-machinery allocations; see
 // NewSession for the explicitly managed variant. Parse is safe to call
 // from multiple goroutines: the Program itself is read-only after Compile
 // and every call works on its own pooled Parser.
-func (p *Program) Parse(src *text.Source) (ast.Value, Stats, error) {
+func (p *Program) Parse(ctx context.Context, src *text.Source, opts ParseOptions) (ast.Value, Stats, error) {
 	ps := p.acquire()
-	ps.begin(src)
-	val, err := ps.run()
-	stats := ps.stats
-	p.release(ps)
-	return val, stats, err
+	defer p.release(ps)
+	val, err := ps.parse(ctx, src, opts)
+	return val, ps.stats, err
 }
 
-// ParseWithTrace is Parse with a human-readable call trace streamed to w:
-// one line per production entry, exit, and memo hit, indented by call
-// depth. Intended for grammar debugging, not production use. The trace
-// is an event hook (see Hook); ParseWithHook installs any other.
-func (p *Program) ParseWithTrace(src *text.Source, w io.Writer) (ast.Value, Stats, error) {
-	return p.ParseWithHook(src, newTraceHook(p, w))
+// parse is the one parse sequence behind Program.Parse, Session.Parse
+// and ParseAll: rewind, install the hook (a nil Hook keeps a sampled
+// checkout's profiler), arm the trace context, then run governed.
+func (ps *Parser) parse(ctx context.Context, src *text.Source, opts ParseOptions) (ast.Value, error) {
+	ps.begin(src)
+	if opts.Hook != nil {
+		ps.hook = opts.Hook
+	}
+	ps.setTraceContext(opts.TraceID)
+	return ps.runContext(ctx, opts.Limits)
 }
 
-// ParsePrefix runs the program over src, requiring the root production to
-// match at position 0 but not to consume the whole input. It returns the
-// value, the number of bytes consumed, and the statistics.
-func (p *Program) ParsePrefix(src *text.Source) (ast.Value, int, Stats, error) {
-	ps := p.acquire()
+// parsePrefix runs the program over src, requiring the root production
+// to match at position 0 but not to consume the whole input. It returns
+// the value and the number of bytes consumed.
+func (ps *Parser) parsePrefix(src *text.Source) (ast.Value, int, error) {
 	ps.begin(src)
-	val, end, err := ps.runPrefix()
-	stats := ps.stats
-	p.release(ps)
-	return val, end, stats, err
+	return ps.runPrefix()
 }
 
 // acquire returns a pooled Parser for p, making a fresh one when the pool

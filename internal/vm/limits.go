@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"modpeg/internal/ast"
-	"modpeg/internal/text"
 )
 
 // This file is the engine's resource-governance layer: hard budgets on
@@ -41,8 +40,8 @@ import (
 
 // Limits bounds one parse. The zero value means unlimited; each budget
 // is enforced only when positive. Limits are independent of (and
-// combine with) the deadline and cancellation of a context passed to
-// ParseContext.
+// combine with) the deadline and cancellation of the context a parse
+// runs under.
 type Limits struct {
 	// MaxInputBytes rejects inputs longer than this before parsing
 	// starts.
@@ -365,40 +364,4 @@ func (ps *Parser) runContext(ctx context.Context, lim Limits) (ast.Value, error)
 		return nil, le
 	}
 	return ps.run()
-}
-
-// ParseContext is Parse under a context and resource budgets: the parse
-// aborts with a typed *LimitError when ctx is canceled, a deadline
-// (ctx's or lim.MaxParseDuration's) passes, or a budget in lim blows —
-// and degrades gracefully (shedding memoization) when the memo budget
-// is hit without Strict. A nil-equivalent context (no deadline, no
-// cancellation) with zero Limits behaves exactly like Parse, including
-// the zero-allocation steady state.
-func (p *Program) ParseContext(ctx context.Context, src *text.Source, lim Limits) (ast.Value, Stats, error) {
-	ps := p.acquire()
-	defer p.release(ps)
-	ps.begin(src)
-	val, err := ps.runContext(ctx, lim)
-	return val, ps.stats, err
-}
-
-// ParseContext is Session.Parse under a context and resource budgets;
-// see Program.ParseContext.
-func (s *Session) ParseContext(ctx context.Context, src *text.Source, lim Limits) (ast.Value, Stats, error) {
-	s.ps.begin(src)
-	val, err := s.ps.runContext(ctx, lim)
-	return val, s.ps.stats, err
-}
-
-// ParseContextWithHook is ParseContext with h receiving the parse's
-// events — the governed variant of ParseWithHook, for callers (such as
-// a parse service) that want budgets, cancellation, and instrumentation
-// on the same pooled parse.
-func (p *Program) ParseContextWithHook(ctx context.Context, src *text.Source, lim Limits, h Hook) (ast.Value, Stats, error) {
-	ps := p.acquire()
-	defer p.release(ps)
-	ps.begin(src)
-	ps.hook = h
-	val, err := ps.runContext(ctx, lim)
-	return val, ps.stats, err
 }

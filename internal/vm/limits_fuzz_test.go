@@ -28,7 +28,7 @@ func fuzzProgram(body string, opts Options) (*Program, error) {
 
 // FuzzParseContext throws arbitrary inputs and randomized Limits at the
 // governed entry point. The invariants, regardless of input or budget:
-// no panic escapes ParseContext (a contained *EngineError is a bug too
+// no panic escapes a governed Parse (a contained *EngineError is a bug too
 // — containment exists for real engine bugs, and the fuzzer must not be
 // able to trigger one), and when a governed parse succeeds its value
 // matches the ungoverned parse — budgets and shedding may stop a parse,
@@ -59,7 +59,7 @@ func FuzzParseContext(f *testing.F) {
 			Strict:           strict,
 		}
 		src := text.NewSource("fuzz", input)
-		v, stats, err := prog.ParseContext(context.Background(), src, lim)
+		v, stats, err := prog.Parse(context.Background(), src, ParseOptions{Limits: lim})
 		if err != nil {
 			var ee *EngineError
 			if errors.As(err, &ee) {
@@ -70,7 +70,7 @@ func FuzzParseContext(f *testing.F) {
 		if lim.MaxMemoBytes > 0 && stats.MemoBytes > lim.MaxMemoBytes {
 			t.Fatalf("memo footprint %d exceeds budget %d", stats.MemoBytes, lim.MaxMemoBytes)
 		}
-		want, _, err := prog.Parse(src)
+		want, _, err := prog.Parse(context.Background(), src, ParseOptions{})
 		if err != nil {
 			t.Fatalf("governed parse accepted what ungoverned rejects: %v", err)
 		}

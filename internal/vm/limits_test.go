@@ -45,17 +45,17 @@ func limitErr(t *testing.T, err error, kind LimitKind) *LimitError {
 func TestLimitInputBytes(t *testing.T) {
 	prog := build(t, calcGrammar, Optimized())
 	src := text.NewSource("in", strings.Repeat("1+", 600)+"1")
-	_, _, err := prog.ParseContext(context.Background(), src, Limits{MaxInputBytes: 1000})
+	_, _, err := prog.Parse(context.Background(), src, ParseOptions{Limits: Limits{MaxInputBytes: 1000}})
 	le := limitErr(t, err, LimitInput)
 	if le.Limit != 1000 || le.Actual != int64(src.Len()) {
 		t.Fatalf("limit error = %+v", le)
 	}
 	// Under the limit, the parse must behave exactly like Parse.
-	v, _, err := prog.ParseContext(context.Background(), src, Limits{MaxInputBytes: src.Len()})
+	v, _, err := prog.Parse(context.Background(), src, ParseOptions{Limits: Limits{MaxInputBytes: src.Len()}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := prog.Parse(src)
+	want, _, err := prog.Parse(context.Background(), src, ParseOptions{})
 	if err != nil || !valuesEqual(v, want) {
 		t.Fatalf("governed parse drifted: %v", err)
 	}
@@ -64,14 +64,13 @@ func TestLimitInputBytes(t *testing.T) {
 func TestLimitCallDepth(t *testing.T) {
 	prog := build(t, calcGrammar, Optimized())
 	deep := text.NewSource("in", nested(10000))
-	_, _, err := prog.ParseContext(context.Background(), deep, Limits{MaxCallDepth: 500})
+	_, _, err := prog.Parse(context.Background(), deep, ParseOptions{Limits: Limits{MaxCallDepth: 500}})
 	le := limitErr(t, err, LimitDepth)
 	if le.Limit != 500 {
 		t.Fatalf("limit error = %+v", le)
 	}
 	// A shallow input parses fine under the same budget.
-	if _, _, err := prog.ParseContext(context.Background(),
-		text.NewSource("in", nested(20)), Limits{MaxCallDepth: 500}); err != nil {
+	if _, _, err := prog.Parse(context.Background(), text.NewSource("in", nested(20)), ParseOptions{Limits: Limits{MaxCallDepth: 500}}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -82,7 +81,7 @@ func TestLimitDeadlineAdversarial(t *testing.T) {
 	// 1 ms deadline must stop it within the acceptance bound of 50 ms.
 	src := text.NewSource("in", pathological(40))
 	start := time.Now()
-	_, _, err := prog.ParseContext(context.Background(), src, Limits{MaxParseDuration: time.Millisecond})
+	_, _, err := prog.Parse(context.Background(), src, ParseOptions{Limits: Limits{MaxParseDuration: time.Millisecond}})
 	elapsed := time.Since(start)
 	le := limitErr(t, err, LimitTime)
 	if !errors.Is(le, context.DeadlineExceeded) {
@@ -99,7 +98,7 @@ func TestLimitContextDeadline(t *testing.T) {
 	defer cancel()
 	src := text.NewSource("in", pathological(40))
 	start := time.Now()
-	_, _, err := prog.ParseContext(ctx, src, Limits{})
+	_, _, err := prog.Parse(ctx, src, ParseOptions{})
 	if time.Since(start) > 50*time.Millisecond {
 		t.Fatalf("context deadline took %v to fire", time.Since(start))
 	}
@@ -122,7 +121,7 @@ func TestLimitCancel(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, _, err := prog.ParseContext(ctx, text.NewSource("in", pathological(40)), Limits{})
+	_, _, err := prog.Parse(ctx, text.NewSource("in", pathological(40)), ParseOptions{})
 	if time.Since(start) > 100*time.Millisecond {
 		t.Fatalf("cancellation took %v to be honored", time.Since(start))
 	}
@@ -136,7 +135,7 @@ func TestLimitPreCanceledContext(t *testing.T) {
 	prog := build(t, calcGrammar, Optimized())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := prog.ParseContext(ctx, text.NewSource("in", "1+2"), Limits{})
+	_, _, err := prog.Parse(ctx, text.NewSource("in", "1+2"), ParseOptions{})
 	limitErr(t, err, LimitCanceled)
 }
 
@@ -148,7 +147,7 @@ func TestMemoShedding(t *testing.T) {
 	prog := build(t, calcGrammar, Optimized())
 	input := strings.Repeat("(1+2)*3-4+", 400) + "6"
 	src := text.NewSource("in", input)
-	want, full, err := prog.Parse(src)
+	want, full, err := prog.Parse(context.Background(), src, ParseOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,12 +202,12 @@ func TestMemoSheddingMapMemo(t *testing.T) {
 	prog := build(t, calcGrammar, NaivePackrat())
 	input := strings.Repeat("(1+2)*3-4+", 400) + "6"
 	src := text.NewSource("in", input)
-	want, full, err := prog.Parse(src)
+	want, full, err := prog.Parse(context.Background(), src, ParseOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	budget := full.MemoBytes / 4
-	v, stats, err := prog.ParseContext(context.Background(), src, Limits{MaxMemoBytes: budget})
+	v, stats, err := prog.Parse(context.Background(), src, ParseOptions{Limits: Limits{MaxMemoBytes: budget}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,13 +223,12 @@ func TestStrictMemoLimit(t *testing.T) {
 	prog := build(t, calcGrammar, Optimized())
 	input := strings.Repeat("(1+2)*3-4+", 400) + "6"
 	src := text.NewSource("in", input)
-	_, full, err := prog.Parse(src)
+	_, full, err := prog.Parse(context.Background(), src, ParseOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ResetMetrics()
-	_, _, err = prog.ParseContext(context.Background(), src,
-		Limits{MaxMemoBytes: full.MemoBytes / 4, Strict: true})
+	_, _, err = prog.Parse(context.Background(), src, ParseOptions{Limits: Limits{MaxMemoBytes: full.MemoBytes / 4, Strict: true}})
 	le := limitErr(t, err, LimitMemo)
 	if le.Actual <= le.Limit {
 		t.Fatalf("limit error = %+v", le)
@@ -256,7 +254,7 @@ func (h *panicHook) OnFail(prod, pos int)                  {}
 func TestPanicContainment(t *testing.T) {
 	prog := build(t, calcGrammar, Optimized())
 	ResetMetrics()
-	_, _, err := prog.ParseWithHook(text.NewSource("in", "1+2*3"), &panicHook{after: 5})
+	_, _, err := prog.Parse(context.Background(), text.NewSource("in", "1+2*3"), ParseOptions{Hook: &panicHook{after: 5}})
 	var ee *EngineError
 	if !errors.As(err, &ee) {
 		t.Fatalf("err = %v (%T), want *EngineError", err, err)
@@ -271,7 +269,7 @@ func TestPanicContainment(t *testing.T) {
 		t.Fatalf("metrics = %+v", m)
 	}
 	// The pooled parser must be reusable after containment.
-	if _, _, err := prog.Parse(text.NewSource("in", "1+2*3")); err != nil {
+	if _, _, err := prog.Parse(context.Background(), text.NewSource("in", "1+2*3"), ParseOptions{}); err != nil {
 		t.Fatalf("parse after contained panic: %v", err)
 	}
 }
@@ -282,15 +280,15 @@ func TestLimitsDoNotLeakAcrossParses(t *testing.T) {
 	prog := build(t, calcGrammar, Optimized())
 	s := prog.NewSession()
 	deep := text.NewSource("in", nested(3000))
-	if _, _, err := s.ParseContext(context.Background(), deep, Limits{MaxCallDepth: 100}); err == nil {
+	if _, _, err := s.Parse(context.Background(), deep, ParseOptions{Limits: Limits{MaxCallDepth: 100}}); err == nil {
 		t.Fatal("expected depth limit")
 	}
 	// Same session, no limits: must parse the same input fine.
-	if _, _, err := s.Parse(deep); err != nil {
+	if _, _, err := s.Parse(context.Background(), deep, ParseOptions{}); err != nil {
 		t.Fatalf("session still governed after limit stop: %v", err)
 	}
 	// And a fresh governed parse with generous budgets succeeds.
-	if _, _, err := s.ParseContext(context.Background(), deep, Limits{MaxCallDepth: 100000}); err != nil {
+	if _, _, err := s.Parse(context.Background(), deep, ParseOptions{Limits: Limits{MaxCallDepth: 100000}}); err != nil {
 		t.Fatalf("generous budgets failed: %v", err)
 	}
 }
@@ -308,7 +306,7 @@ func TestParseAllContextCancelDrains(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	results := prog.ParseAllContext(ctx, srcs, 4, Limits{})
+	results := prog.ParseAll(ctx, srcs, 4, Limits{})
 	elapsed := time.Since(start)
 	if elapsed > 250*time.Millisecond {
 		t.Fatalf("cancellation drained the pool in %v, want <250ms", elapsed)
@@ -332,7 +330,7 @@ func TestConcurrentCancellation(t *testing.T) {
 	done := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		go func() {
-			_, _, err := prog.ParseContext(ctx, text.NewSource("in", pathological(40)), Limits{})
+			_, _, err := prog.Parse(ctx, text.NewSource("in", pathological(40)), ParseOptions{})
 			done <- err
 		}()
 	}
@@ -358,46 +356,34 @@ func TestParseAllContextPerInputLimits(t *testing.T) {
 		text.NewSource("big", strings.Repeat("1+", 200)+"1"),
 		text.NewSource("small2", "3*4"),
 	}
-	results := prog.ParseAllContext(context.Background(), srcs, 2, Limits{MaxInputBytes: 64})
+	results := prog.ParseAll(context.Background(), srcs, 2, Limits{MaxInputBytes: 64})
 	if results[0].Err != nil || results[2].Err != nil {
 		t.Fatalf("small inputs failed: %v / %v", results[0].Err, results[2].Err)
 	}
 	limitErr(t, results[1].Err, LimitInput)
 }
 
-// TestGovernedZeroAllocs pins the acceptance bound: the nil-Limits,
-// background-context governed path must keep the zero-allocation
-// steady state of the session layer.
+// TestGovernedZeroAllocs pins the acceptance bound: budget-only limits
+// (no deadline) keep the zero-allocation steady state of the session
+// layer — arming writes scalars and never reads the clock. The
+// zero-options case is TestDisabledInstrumentationZeroAllocs.
 func TestGovernedZeroAllocs(t *testing.T) {
 	input := strings.Repeat("(1+2)*3-4+", 200) + "6"
 	src := text.NewSource("in", input)
 	prog := build(t, voidCalcGrammar, Optimized())
 	s := prog.NewSession()
 	ctx := context.Background()
-	if _, _, err := s.ParseContext(ctx, src, Limits{}); err != nil {
+	opts := ParseOptions{Limits: Limits{MaxInputBytes: 1 << 20, MaxMemoBytes: 1 << 30, MaxCallDepth: 1 << 20}}
+	if _, _, err := s.Parse(ctx, src, opts); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, _, err := s.ParseContext(ctx, src, Limits{}); err != nil {
+		if _, _, err := s.Parse(ctx, src, opts); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("nil-Limits ParseContext allocates %.1f/op, want 0", allocs)
-	}
-	// Budget-only limits (no deadline) stay allocation-free too: arming
-	// writes scalars and never reads the clock.
-	lim := Limits{MaxInputBytes: 1 << 20, MaxMemoBytes: 1 << 30, MaxCallDepth: 1 << 20}
-	if _, _, err := s.ParseContext(ctx, src, lim); err != nil {
-		t.Fatal(err)
-	}
-	allocs = testing.AllocsPerRun(20, func() {
-		if _, _, err := s.ParseContext(ctx, src, lim); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("budget-governed ParseContext allocates %.1f/op, want 0", allocs)
+		t.Errorf("budget-governed parse allocates %.1f/op, want 0", allocs)
 	}
 }
 

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"sync"
@@ -18,16 +19,16 @@ func TestMetricsRegistryCounts(t *testing.T) {
 	ok := text.NewSource("in", "1+2*(3-4)")
 	bad := text.NewSource("in", "1+*")
 	for i := 0; i < 3; i++ {
-		if _, _, err := prog.Parse(ok); err != nil {
+		if _, _, err := prog.Parse(context.Background(), ok, ParseOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := prog.Parse(bad); err == nil {
+	if _, _, err := prog.Parse(context.Background(), bad, ParseOptions{}); err == nil {
 		t.Fatal("expected syntax error")
 	}
 	s := prog.NewSession()
 	for i := 0; i < 2; i++ {
-		if _, _, err := s.Parse(ok); err != nil {
+		if _, _, err := s.Parse(context.Background(), ok, ParseOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -95,7 +96,7 @@ func TestMetricsHistograms(t *testing.T) {
 	inputs := []string{"1+2*(3-4)", "1", "1+*"}
 	var bytes int64
 	for _, in := range inputs {
-		prog.Parse(text.NewSource("in", in)) // the syntax error counts too
+		prog.Parse(context.Background(), text.NewSource("in", in), ParseOptions{}) // the syntax error counts too
 		bytes += int64(len(in))
 	}
 
@@ -146,9 +147,9 @@ func TestMetricsPerGrammar(t *testing.T) {
 
 	ok := text.NewSource("in", "1+2*3")
 	bad := text.NewSource("in", "1+*")
-	prog.Parse(ok)
-	prog.Parse(ok)
-	prog.Parse(bad)
+	prog.Parse(context.Background(), ok, ParseOptions{})
+	prog.Parse(context.Background(), ok, ParseOptions{})
+	prog.Parse(context.Background(), bad, ParseOptions{})
 
 	label := prog.Label()
 	if label == "" {
@@ -166,7 +167,7 @@ func TestMetricsPerGrammar(t *testing.T) {
 	}
 
 	prog.SetLabel("renamed")
-	prog.Parse(ok)
+	prog.Parse(context.Background(), ok, ParseOptions{})
 	m := Metrics()
 	if got := m.Grammars["renamed"]; got.ParsesStarted != 1 || got.ParsesCompleted != 1 {
 		t.Errorf("renamed counters = %+v, want 1 started / 1 completed", got)
@@ -186,7 +187,7 @@ func TestSetTelemetry(t *testing.T) {
 	defer SetTelemetry(prev)
 	ResetMetrics()
 
-	if _, _, err := prog.Parse(text.NewSource("in", "1+2*3")); err != nil {
+	if _, _, err := prog.Parse(context.Background(), text.NewSource("in", "1+2*3"), ParseOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	m := Metrics()
@@ -209,14 +210,14 @@ func TestMetricsPeakMonotone(t *testing.T) {
 	prog := build(t, calcGrammar, Optimized())
 	ResetMetrics()
 	big := strings.Repeat("(1+2)*3-", 300) + "4"
-	if _, _, err := prog.Parse(text.NewSource("in", big)); err != nil {
+	if _, _, err := prog.Parse(context.Background(), text.NewSource("in", big), ParseOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	peak := Metrics().PeakMemoBytes
 	if peak <= 0 {
 		t.Fatalf("peak = %d after large parse", peak)
 	}
-	if _, _, err := prog.Parse(text.NewSource("in", "1")); err != nil {
+	if _, _, err := prog.Parse(context.Background(), text.NewSource("in", "1"), ParseOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := Metrics().PeakMemoBytes; got != peak {

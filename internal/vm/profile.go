@@ -3,15 +3,9 @@ package vm
 import (
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
-
-	"modpeg/internal/ast"
-	"modpeg/internal/text"
 )
 
 // This file is the per-production profiler: a Hook implementation that
@@ -310,8 +304,7 @@ type profFrame struct {
 // one goroutine at a time but any number of consecutive parses — a
 // resident Session can keep a single Profiler installed and read the
 // aggregate whenever it likes. For concurrent aggregation give each
-// worker its own Profiler and merge with Profile.Add (what
-// ParseAllProfiled does).
+// worker its own Profiler and merge the snapshots with Profile.Add.
 type Profiler struct {
 	p        Profile
 	memoized []bool
@@ -409,92 +402,4 @@ func (pr *Profiler) Profile() *Profile {
 		}
 	}
 	return out
-}
-
-// ------------------------------------------------------ profiled parses
-
-// ParseWithProfile is Parse plus a per-production profile of the run.
-// Profiling reads the clock on every production entry and exit; use
-// plain Parse when the numbers aren't wanted.
-func (p *Program) ParseWithProfile(src *text.Source) (ast.Value, Stats, *Profile, error) {
-	pr := p.NewProfiler()
-	val, stats, err := p.ParseWithHook(src, pr)
-	return val, stats, pr.Profile(), err
-}
-
-// ParseWithProfile is Session.Parse plus a per-production profile of
-// the run. For an aggregate across many session parses, install one
-// Profiler with ParseWithHook instead and snapshot it at the end.
-func (s *Session) ParseWithProfile(src *text.Source) (ast.Value, Stats, *Profile, error) {
-	pr := s.ps.prog.NewProfiler()
-	val, stats, err := s.ParseWithHook(src, pr)
-	return val, stats, pr.Profile(), err
-}
-
-// ParseWithHook is Session.Parse with h receiving the parse's events.
-// The same hook may be passed to consecutive parses to aggregate.
-func (s *Session) ParseWithHook(src *text.Source, h Hook) (ast.Value, Stats, error) {
-	s.ps.begin(src)
-	s.ps.hook = h
-	val, err := s.ps.run()
-	s.ps.hook = nil
-	return val, s.ps.stats, err
-}
-
-// ParseAllProfiled is ParseAll plus one Profile aggregated across every
-// worker: each worker profiles its own parses into a private Profiler
-// and the per-worker profiles are merged once at the end, so the
-// contract (order-preserving results, cross-worker aggregate) holds
-// under the race detector.
-func (p *Program) ParseAllProfiled(srcs []*text.Source, workers int) ([]Result, *Profile) {
-	total := p.NewProfile()
-	results := make([]Result, len(srcs))
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(srcs) {
-		workers = len(srcs)
-	}
-	if workers <= 1 {
-		ps := p.acquire()
-		pr := p.NewProfiler()
-		for i, src := range srcs {
-			ps.begin(src)
-			ps.hook = pr
-			val, err := ps.run()
-			results[i] = Result{Value: val, Stats: ps.stats, Err: err}
-		}
-		ps.hook = nil
-		p.release(ps)
-		total.Add(pr.Profile())
-		return results, total
-	}
-	var mu sync.Mutex
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			ps := p.acquire()
-			defer p.release(ps)
-			pr := p.NewProfiler()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(srcs) {
-					break
-				}
-				ps.begin(srcs[i])
-				ps.hook = pr
-				val, err := ps.run()
-				results[i] = Result{Value: val, Stats: ps.stats, Err: err}
-			}
-			ps.hook = nil
-			mu.Lock()
-			total.Add(pr.Profile())
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	return results, total
 }

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -27,6 +28,14 @@ func buildWith(t *testing.T, body string, topts transform.Options, opts Options)
 	return prog
 }
 
+// profiled parses src on the pooled path with a fresh Profiler
+// installed and returns the run's profile beside its results.
+func profiled(prog *Program, src *text.Source) (ast.Value, Stats, *Profile, error) {
+	pr := prog.NewProfiler()
+	val, stats, err := prog.Parse(context.Background(), src, ParseOptions{Hook: pr})
+	return val, stats, pr.Profile(), err
+}
+
 // TestProfileMatchesStats cross-checks the profiler against the
 // engine's own counters on every engine configuration: per-production
 // calls must sum to Stats.Calls, memo hits to Stats.MemoHits, memo
@@ -37,7 +46,7 @@ func TestProfileMatchesStats(t *testing.T) {
 	src := text.NewSource("in", "(1+2)*3 - 4*(5-6)")
 	for _, cfg := range engineConfigs {
 		prog := build(t, calcGrammar, cfg)
-		val, stats, prof, err := prog.ParseWithProfile(src)
+		val, stats, prof, err := profiled(prog, src)
 		if err != nil {
 			t.Fatalf("cfg %v: %v", cfg, err)
 		}
@@ -63,7 +72,7 @@ func TestProfileMatchesStats(t *testing.T) {
 			t.Errorf("cfg %v: profile skips %d > stats skips %d", cfg, skips, stats.DispatchSkips)
 		}
 		// The profiled value must match the unprofiled parse.
-		want, wantStats, err := prog.Parse(src)
+		want, wantStats, err := prog.Parse(context.Background(), src, ParseOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +91,7 @@ func TestProfileMatchesStats(t *testing.T) {
 func TestProfileTimesAndFarthest(t *testing.T) {
 	src := text.NewSource("in", "1+2*3")
 	prog := build(t, calcGrammar, Optimized())
-	_, _, prof, err := prog.ParseWithProfile(src)
+	_, _, prof, err := profiled(prog, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +128,7 @@ public S = B !. / A "y" !. ;
 B = A "x" ;
 A = $("aaa") ;
 `, transform.Baseline(), Options{Memoize: true})
-	_, _, prof, err := prog.ParseWithProfile(text.NewSource("in", "aaay"))
+	_, _, prof, err := profiled(prog, text.NewSource("in", "aaay"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +155,7 @@ func TestProfilerAggregatesAcrossParses(t *testing.T) {
 	pr := prog.NewProfiler()
 	var want int64
 	for _, in := range []string{"1+2", "3*4*5", "(1+2)*(3+4)", "7"} {
-		_, stats, err := s.ParseWithHook(text.NewSource("in", in), pr)
+		_, stats, err := s.Parse(context.Background(), text.NewSource("in", in), ParseOptions{Hook: pr})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +166,7 @@ func TestProfilerAggregatesAcrossParses(t *testing.T) {
 	}
 	// Profile() snapshots without resetting: a later snapshot includes
 	// earlier parses.
-	if _, _, err := s.ParseWithHook(text.NewSource("in", "8+9"), pr); err != nil {
+	if _, _, err := s.Parse(context.Background(), text.NewSource("in", "8+9"), ParseOptions{Hook: pr}); err != nil {
 		t.Fatal(err)
 	}
 	if got := pr.Profile().TotalCalls(); got <= want {
@@ -165,55 +174,15 @@ func TestProfilerAggregatesAcrossParses(t *testing.T) {
 	}
 }
 
-// TestParseAllProfiledAggregation fans a batch across workers and
-// checks the merged profile against the aggregated per-input stats —
-// run under -race by scripts/verify.sh, this also proves the workers'
-// profilers never share state.
-func TestParseAllProfiledAggregation(t *testing.T) {
-	prog := build(t, calcGrammar, Optimized())
-	var srcs []*text.Source
-	for i := 0; i < 48; i++ {
-		in := fmt.Sprintf("%d+%d*%d", i, i+1, i+2)
-		if i%9 == 4 { // sprinkle failures through the batch
-			in += "+"
-		}
-		srcs = append(srcs, text.NewSource(fmt.Sprintf("in%d", i), in))
-	}
-	for _, workers := range []int{0, 1, 4, 64} {
-		results, prof := prog.ParseAllProfiled(srcs, workers)
-		if len(results) != len(srcs) {
-			t.Fatalf("workers=%d: %d results", workers, len(results))
-		}
-		total := TotalStats(results)
-		if got := prof.TotalCalls(); got != int64(total.Calls) {
-			t.Errorf("workers=%d: profile calls %d, stats calls %d", workers, got, total.Calls)
-		}
-		var hits int64
-		for _, pp := range prof.Prods {
-			hits += pp.MemoHits
-		}
-		if hits != int64(total.MemoHits) {
-			t.Errorf("workers=%d: profile hits %d, stats hits %d", workers, hits, total.MemoHits)
-		}
-		// Results must match the unprofiled batch API.
-		plain := prog.ParseAll(srcs, workers)
-		for i := range plain {
-			if (plain[i].Err == nil) != (results[i].Err == nil) {
-				t.Fatalf("workers=%d input %d: err drift", workers, i)
-			}
-		}
-	}
-}
-
 // TestProfileAddAndTop covers merging and the hottest-first ordering.
 func TestProfileAddAndTop(t *testing.T) {
 	prog := build(t, calcGrammar, Optimized())
 	src := text.NewSource("in", "1+2*3")
-	_, _, a, err := prog.ParseWithProfile(src)
+	_, _, a, err := profiled(prog, src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, b, err := prog.ParseWithProfile(src)
+	_, _, b, err := profiled(prog, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +213,7 @@ func TestProfileAddAndTop(t *testing.T) {
 // every production even when top-N truncates) and the JSON encoding.
 func TestProfileReportAndJSON(t *testing.T) {
 	prog := build(t, calcGrammar, Optimized())
-	_, stats, prof, err := prog.ParseWithProfile(text.NewSource("in", "(1+2)*3-4"))
+	_, stats, prof, err := profiled(prog, text.NewSource("in", "(1+2)*3-4"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +264,7 @@ func TestStatsStringIncludesChunkRows(t *testing.T) {
 	}
 	// And a real chunked parse reports a nonzero row count.
 	prog := build(t, calcGrammar, Optimized())
-	_, stats, err := prog.Parse(text.NewSource("in", "1+2*3"))
+	_, stats, err := prog.Parse(context.Background(), text.NewSource("in", "1+2*3"), ParseOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 // This file is the always-on sampled profiler: a process-cheap sampler
 // that attaches the per-production Profiler (profile.go) to 1-in-N
 // pooled parses and folds the results into per-grammar-label rolling
-// profiles. Where ParseWithProfile answers "what did this parse do,
+// profiles. Where an installed Profiler answers "what did this parse do,
 // production by production" for one explicitly profiled call, the
 // sampled registry answers "what has this grammar been doing in
 // production" without any caller opting in — the tail-forensics
@@ -60,7 +60,7 @@ var (
 )
 
 // SetSampling sets this program's sampling rate: every n-th pooled
-// parse (Parse/ParseContext and friends — not explicit Sessions) runs
+// parse (Program.Parse and ParseAll — not explicit Sessions) runs
 // with a borrowed Profiler and is folded into the label's rolling
 // SampledProfile. n <= 0 disables sampling (the default); n == 1
 // profiles every pooled parse. Safe to call concurrently with parses —

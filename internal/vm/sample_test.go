@@ -26,7 +26,7 @@ func TestSampledProfilingAggregates(t *testing.T) {
 	src := text.NewSource("in", "(1+2)*3-4")
 	const parses = 5
 	for i := 0; i < parses; i++ {
-		if _, _, err := prog.Parse(src); err != nil {
+		if _, _, err := prog.Parse(context.Background(), src, ParseOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -67,7 +67,7 @@ func TestSamplingRateOneInN(t *testing.T) {
 	prog.SetSampling(4)
 	src := text.NewSource("in", "1+2")
 	for i := 0; i < 8; i++ { // checkouts tick 1..8; ticks 4 and 8 sample
-		if _, _, err := prog.Parse(src); err != nil {
+		if _, _, err := prog.Parse(context.Background(), src, ParseOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -84,7 +84,7 @@ func TestSamplingOffRecordsNothing(t *testing.T) {
 	prog := sampleTestProg(t, "test/sample-off@v1")
 	src := text.NewSource("in", "1+2")
 	for i := 0; i < 4; i++ {
-		if _, _, err := prog.Parse(src); err != nil {
+		if _, _, err := prog.Parse(context.Background(), src, ParseOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -103,7 +103,7 @@ func TestSamplingOffRecordsNothing(t *testing.T) {
 func TestResetSampledProfiles(t *testing.T) {
 	prog := sampleTestProg(t, "test/sample-reset@v1")
 	prog.SetSampling(1)
-	if _, _, err := prog.Parse(text.NewSource("in", "1+2")); err != nil {
+	if _, _, err := prog.Parse(context.Background(), text.NewSource("in", "1+2"), ParseOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := SampledProfileFor("test/sample-reset@v1"); !ok {
@@ -129,7 +129,7 @@ func TestTraceContextHookNotified(t *testing.T) {
 	rec := &traceRecorder{recordingHook: recordingHook{t: t}}
 	ctx := context.Background()
 	const traceID = "4bf92f3577b34da6a3ce929d0e0e4736"
-	if _, _, err := prog.ParseContextTracedWithHook(ctx, src, Limits{}, traceID, rec); err != nil {
+	if _, _, err := prog.Parse(ctx, src, ParseOptions{Hook: rec, TraceID: traceID}); err != nil {
 		t.Fatal(err)
 	}
 	if len(rec.traceIDs) != 1 || rec.traceIDs[0] != traceID {
@@ -138,13 +138,13 @@ func TestTraceContextHookNotified(t *testing.T) {
 	// An untraced parse fires no notification, and a hook without the
 	// optional interface is simply not called.
 	rec.traceIDs = nil
-	if _, _, err := prog.ParseContextTracedWithHook(ctx, src, Limits{}, "", rec); err != nil {
+	if _, _, err := prog.Parse(ctx, src, ParseOptions{Hook: rec}); err != nil {
 		t.Fatal(err)
 	}
 	if len(rec.traceIDs) != 0 {
 		t.Errorf("empty trace ID still notified: %v", rec.traceIDs)
 	}
-	if _, _, err := prog.ParseContextTracedWithHook(ctx, src, Limits{}, traceID, &recordingHook{t: t}); err != nil {
+	if _, _, err := prog.Parse(ctx, src, ParseOptions{Hook: &recordingHook{t: t}, TraceID: traceID}); err != nil {
 		t.Fatal(err)
 	}
 }

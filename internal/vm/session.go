@@ -29,21 +29,14 @@ func (p *Program) NewSession() *Session {
 	return &Session{ps: &Parser{prog: p}}
 }
 
-// Parse runs the session's program over src, requiring the root
-// production to consume the whole input, exactly like Program.Parse. The
+// Parse is Program.Parse on the reusable session context. The
 // previous parse's memo state is recycled, never consulted: results and
-// statistics are identical to a cold parse.
-func (s *Session) Parse(src *text.Source) (ast.Value, Stats, error) {
-	s.ps.begin(src)
-	val, err := s.ps.run()
+// statistics are identical to a cold parse. A hook in opts serves this
+// parse only; pass the same one to consecutive parses to aggregate.
+func (s *Session) Parse(ctx context.Context, src *text.Source, opts ParseOptions) (ast.Value, Stats, error) {
+	val, err := s.ps.parse(ctx, src, opts)
+	s.ps.hook = nil // an idle session must not pin the caller's hook
 	return val, s.ps.stats, err
-}
-
-// ParsePrefix is Program.ParsePrefix on the reusable session context.
-func (s *Session) ParsePrefix(src *text.Source) (ast.Value, int, Stats, error) {
-	s.ps.begin(src)
-	val, end, err := s.ps.runPrefix()
-	return val, end, s.ps.stats, err
 }
 
 // Program returns the program the session executes.
@@ -74,17 +67,13 @@ func TotalStats(results []Result) Stats {
 // GOMAXPROCS. Each worker draws its own pooled parse session, so the
 // inputs share nothing but the read-only Program, and a steady stream of
 // batches reuses the same sessions.
-func (p *Program) ParseAll(srcs []*text.Source, workers int) []Result {
-	return p.ParseAllContext(context.Background(), srcs, workers, Limits{})
-}
-
-// ParseAllContext is ParseAll under a context and per-input resource
-// budgets (see Limits and Program.ParseContext). Cancellation drains
-// the worker pool promptly: inputs whose parse is in flight abort on
-// the next governance poll, and inputs not yet started are marked with
-// a *LimitError without being parsed at all. Every result slot is
-// filled either way — results[i].Err reports what happened to srcs[i].
-func (p *Program) ParseAllContext(ctx context.Context, srcs []*text.Source, workers int, lim Limits) []Result {
+//
+// Every input is parsed under ctx and lim. Cancellation drains the
+// worker pool promptly: inputs whose parse is in flight abort on the
+// next governance poll, and inputs not yet started are marked with a
+// *LimitError without being parsed at all. Every result slot is filled
+// either way — results[i].Err reports what happened to srcs[i].
+func (p *Program) ParseAll(ctx context.Context, srcs []*text.Source, workers int, lim Limits) []Result {
 	results := make([]Result, len(srcs))
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -100,8 +89,7 @@ func (p *Program) ParseAllContext(ctx context.Context, srcs []*text.Source, work
 				return
 			}
 		}
-		ps.begin(srcs[i])
-		val, err := ps.runContext(ctx, lim)
+		val, err := ps.parse(ctx, srcs[i], ParseOptions{Limits: lim})
 		results[i] = Result{Value: val, Stats: ps.stats, Err: err}
 	}
 	if workers <= 1 {

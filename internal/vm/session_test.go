@@ -1,10 +1,12 @@
 package vm
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"modpeg/internal/ast"
 	"modpeg/internal/text"
@@ -38,8 +40,8 @@ func TestSessionReuseMatchesColdParse(t *testing.T) {
 		s := prog.NewSession()
 		for _, in := range inputs {
 			src := text.NewSource("in", in)
-			coldVal, coldStats, coldErr := prog.NewSession().Parse(src)
-			gotVal, gotStats, gotErr := s.Parse(src)
+			coldVal, coldStats, coldErr := prog.NewSession().Parse(context.Background(), src, ParseOptions{})
+			gotVal, gotStats, gotErr := s.Parse(context.Background(), src, ParseOptions{})
 			if (gotErr == nil) != (coldErr == nil) {
 				t.Fatalf("cfg %v input %q: session err %v, cold err %v", cfg, in, gotErr, coldErr)
 			}
@@ -58,21 +60,49 @@ func TestSessionReuseMatchesColdParse(t *testing.T) {
 	}
 }
 
+// TestPooledParseMatchesSessionParse is the entry-point matrix: every
+// combination of ParseOptions fields, on the pooled path and on a
+// reused Session, under the optimized interpreter and the compiled
+// engine, must return the value, error and Stats of a plain parse.
+// Repeating each cell also checks that a warm parser never drifts.
 func TestPooledParseMatchesSessionParse(t *testing.T) {
-	prog := build(t, calcGrammar, Optimized())
-	src := text.NewSource("in", "1+2*(3-4)")
-	refVal, refStats, err := prog.NewSession().Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Repeated pooled parses reuse a warm parser; nothing may drift.
-	for i := 0; i < 5; i++ {
-		v, st, err := prog.Parse(src)
-		if err != nil {
-			t.Fatal(err)
+	ctx := context.Background()
+	inputs := []string{"1+2*(3-4)", "(1+2)*3-4*(5-6)", "1+*2"}
+	generous := Limits{MaxInputBytes: 1 << 20, MaxMemoBytes: 1 << 30, MaxCallDepth: 1 << 20, MaxParseDuration: time.Minute}
+	const traceID = "4bf92f3577b34da6a3ce929d0e0e4736"
+	for _, cfg := range []Options{Optimized(), CompiledEngine()} {
+		prog := build(t, calcGrammar, cfg)
+		options := map[string]ParseOptions{
+			"zero":   {},
+			"limits": {Limits: generous},
+			"hook":   {Hook: prog.NewProfiler()},
+			"trace":  {TraceID: traceID},
+			"all":    {Limits: generous, Hook: &traceRecorder{recordingHook: recordingHook{t: t}}, TraceID: traceID},
 		}
-		if !ast.Equal(v, refVal) || st != refStats {
-			t.Fatalf("iteration %d drift: %s / %v", i, ast.Format(v), st)
+		paths := []struct {
+			name  string
+			parse func(context.Context, *text.Source, ParseOptions) (ast.Value, Stats, error)
+		}{{"pooled", prog.Parse}, {"session", prog.NewSession().Parse}}
+		for _, in := range inputs {
+			src := text.NewSource("in", in)
+			want, wantStats, wantErr := prog.NewSession().Parse(ctx, src, ParseOptions{})
+			for oname, o := range options {
+				for _, path := range paths {
+					for rep := 0; rep < 3; rep++ {
+						got, gotStats, gotErr := path.parse(ctx, src, o)
+						where := fmt.Sprintf("%v %s/%s input %q rep %d", cfg, oname, path.name, in, rep)
+						if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+							t.Fatalf("%s: err %v, want %v", where, gotErr, wantErr)
+						}
+						if !ast.Equal(got, want) {
+							t.Fatalf("%s: value %s, want %s", where, ast.Format(got), ast.Format(want))
+						}
+						if gotStats != wantStats {
+							t.Fatalf("%s: stats drift:\ngot:  %v\nwant: %v", where, gotStats, wantStats)
+						}
+					}
+				}
+			}
 		}
 	}
 }
@@ -81,12 +111,12 @@ func TestSessionParsePrefix(t *testing.T) {
 	prog := build(t, "public S = \"ab\" ;\n", Optimized())
 	s := prog.NewSession()
 	for i := 0; i < 3; i++ {
-		_, n, _, err := s.ParsePrefix(text.NewSource("in", "abc"))
+		_, n, err := s.ps.parsePrefix(text.NewSource("in", "abc"))
 		if err != nil || n != 2 {
 			t.Fatalf("n = %d, err = %v", n, err)
 		}
 	}
-	if _, _, _, err := s.ParsePrefix(text.NewSource("in", "xx")); err == nil {
+	if _, _, err := s.ps.parsePrefix(text.NewSource("in", "xx")); err == nil {
 		t.Fatal("prefix mismatch must fail")
 	}
 	if s.Program() != prog {
@@ -104,11 +134,11 @@ func TestSteadyStateAllocsVoidGrammar(t *testing.T) {
 	for _, cfg := range []Options{Optimized(), NaivePackrat(), Backtracking()} {
 		prog := build(t, voidCalcGrammar, cfg)
 		s := prog.NewSession()
-		if _, _, err := s.Parse(src); err != nil {
+		if _, _, err := s.Parse(context.Background(), src, ParseOptions{}); err != nil {
 			t.Fatalf("cfg %v: %v", cfg, err)
 		}
 		allocs := testing.AllocsPerRun(20, func() {
-			if _, _, err := s.Parse(src); err != nil {
+			if _, _, err := s.Parse(context.Background(), src, ParseOptions{}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -127,14 +157,14 @@ func TestSteadyStateAllocsCalc(t *testing.T) {
 	prog := build(t, calcGrammar, Optimized())
 
 	cold := testing.AllocsPerRun(10, func() {
-		if _, _, err := prog.NewSession().Parse(src); err != nil {
+		if _, _, err := prog.NewSession().Parse(context.Background(), src, ParseOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	})
 	s := prog.NewSession()
-	s.Parse(src)
+	s.Parse(context.Background(), src, ParseOptions{})
 	warm := testing.AllocsPerRun(10, func() {
-		if _, _, err := s.Parse(src); err != nil {
+		if _, _, err := s.Parse(context.Background(), src, ParseOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -158,7 +188,7 @@ func TestParseAllOrderContract(t *testing.T) {
 		wantOK = append(wantOK, ok)
 	}
 	for _, workers := range []int{0, 1, 3, 128} {
-		results := prog.ParseAll(srcs, workers)
+		results := prog.ParseAll(context.Background(), srcs, workers, Limits{})
 		if len(results) != len(srcs) {
 			t.Fatalf("workers=%d: %d results for %d inputs", workers, len(results), len(srcs))
 		}
@@ -169,7 +199,7 @@ func TestParseAllOrderContract(t *testing.T) {
 			if r.Err != nil {
 				continue
 			}
-			want, _, err := prog.NewSession().Parse(srcs[i])
+			want, _, err := prog.NewSession().Parse(context.Background(), srcs[i], ParseOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,7 +209,7 @@ func TestParseAllOrderContract(t *testing.T) {
 			}
 		}
 	}
-	if results := prog.ParseAll(nil, 4); len(results) != 0 {
+	if results := prog.ParseAll(context.Background(), nil, 4, Limits{}); len(results) != 0 {
 		t.Fatalf("empty batch: %d results", len(results))
 	}
 }
@@ -190,11 +220,11 @@ func TestTotalStats(t *testing.T) {
 		text.NewSource("a", "1+2"),
 		text.NewSource("b", "3*4*5"),
 	}
-	results := prog.ParseAll(srcs, 1)
+	results := prog.ParseAll(context.Background(), srcs, 1, Limits{})
 	total := TotalStats(results)
 	var want Stats
 	for _, src := range srcs {
-		_, st, err := prog.NewSession().Parse(src)
+		_, st, err := prog.NewSession().Parse(context.Background(), src, ParseOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,13 +259,13 @@ func TestConcurrentParseRace(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				switch (g + i) % 3 {
 				case 0:
-					prog.Parse(srcs[(g+i)%len(srcs)])
+					prog.Parse(context.Background(), srcs[(g+i)%len(srcs)], ParseOptions{})
 				case 1:
 					s := prog.NewSession()
-					s.Parse(srcs[(g+i)%len(srcs)])
-					s.Parse(srcs[(g+i+1)%len(srcs)])
+					s.Parse(context.Background(), srcs[(g+i)%len(srcs)], ParseOptions{})
+					s.Parse(context.Background(), srcs[(g+i+1)%len(srcs)], ParseOptions{})
 				default:
-					results := prog.ParseAll(srcs, 3)
+					results := prog.ParseAll(context.Background(), srcs, 3, Limits{})
 					if len(results) != len(srcs) {
 						t.Errorf("batch returned %d results", len(results))
 						return

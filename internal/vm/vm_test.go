@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -39,7 +40,7 @@ func grammarOf(t *testing.T, body string) *peg.Grammar {
 
 func parse(t *testing.T, prog *Program, input string) ast.Value {
 	t.Helper()
-	v, _, err := prog.Parse(text.NewSource("input", input))
+	v, _, err := prog.Parse(context.Background(), text.NewSource("input", input), ParseOptions{})
 	if err != nil {
 		t.Fatalf("parse %q: %v", input, err)
 	}
@@ -142,7 +143,7 @@ Ident = v:$([a-z]+) @Id ;
 
 func TestParseErrorReporting(t *testing.T) {
 	prog := build(t, calcGrammar, Optimized())
-	_, _, err := prog.Parse(text.NewSource("bad", "1 + "))
+	_, _, err := prog.Parse(context.Background(), text.NewSource("bad", "1 + "), ParseOptions{})
 	if err == nil {
 		t.Fatal("must fail")
 	}
@@ -169,7 +170,7 @@ func TestParseErrorTrailingInput(t *testing.T) {
 	prog := build(t, `
 public S = "ab" ;
 `, Optimized())
-	_, _, err := prog.Parse(text.NewSource("bad", "abc"))
+	_, _, err := prog.Parse(context.Background(), text.NewSource("bad", "abc"), ParseOptions{})
 	if err == nil || !strings.Contains(err.Error(), "expected end of input") {
 		t.Fatalf("err = %v", err)
 	}
@@ -179,11 +180,12 @@ func TestParsePrefix(t *testing.T) {
 	prog := build(t, `
 public S = "ab" ;
 `, Optimized())
-	_, n, _, err := prog.ParsePrefix(text.NewSource("in", "abc"))
+	ps := prog.NewSession().ps
+	_, n, err := ps.parsePrefix(text.NewSource("in", "abc"))
 	if err != nil || n != 2 {
 		t.Fatalf("n = %d, err = %v", n, err)
 	}
-	_, _, _, err = prog.ParsePrefix(text.NewSource("in", "xx"))
+	_, _, err = ps.parsePrefix(text.NewSource("in", "xx"))
 	if err == nil {
 		t.Fatal("prefix mismatch must fail")
 	}
@@ -225,9 +227,9 @@ func TestEngineEquivalence(t *testing.T) {
 		progs = append(progs, prog)
 	}
 	for _, in := range inputs {
-		ref, _, refErr := progs[0].Parse(text.NewSource("in", in))
+		ref, _, refErr := progs[0].Parse(context.Background(), text.NewSource("in", in), ParseOptions{})
 		for i, prog := range progs[1:] {
-			got, _, err := prog.Parse(text.NewSource("in", in))
+			got, _, err := prog.Parse(context.Background(), text.NewSource("in", in), ParseOptions{})
 			if (err == nil) != (refErr == nil) {
 				t.Fatalf("config %v input %q: err=%v vs ref err=%v", engineConfigs[i+1], in, err, refErr)
 			}
@@ -260,8 +262,8 @@ func TestEngineEquivalenceAcrossTransforms(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, in := range []string{"1+2*3", "(1-2)*3+4", "7"} {
-		v1, _, err1 := pBase.Parse(text.NewSource("in", in))
-		v2, _, err2 := pOpt.Parse(text.NewSource("in", in))
+		v1, _, err1 := pBase.Parse(context.Background(), text.NewSource("in", in), ParseOptions{})
+		v2, _, err2 := pOpt.Parse(context.Background(), text.NewSource("in", in), ParseOptions{})
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("input %q: %v vs %v", in, err1, err2)
 		}
@@ -280,7 +282,7 @@ func TestStatsBehaviour(t *testing.T) {
 	input := text.NewSource("in", "1+2*3-4*(5+6)")
 
 	back, _ := Compile(tg, Backtracking())
-	_, sBack, err := back.Parse(input)
+	_, sBack, err := back.Parse(context.Background(), input, ParseOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +291,7 @@ func TestStatsBehaviour(t *testing.T) {
 	}
 
 	naive, _ := Compile(tg, NaivePackrat())
-	_, sNaive, err := naive.Parse(input)
+	_, sNaive, err := naive.Parse(context.Background(), input, ParseOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +300,7 @@ func TestStatsBehaviour(t *testing.T) {
 	}
 
 	opt, _ := Compile(tg, Optimized())
-	_, sOpt, err := opt.Parse(input)
+	_, sOpt, err := opt.Parse(context.Background(), input, ParseOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,12 +402,12 @@ E = "(" E ")" "x" / "(" E ")" "y" / "a" ;
 		input = "(" + input + ")y"
 	}
 	naive, _ := Compile(tg, NaivePackrat())
-	_, sNaive, err := naive.Parse(text.NewSource("in", input))
+	_, sNaive, err := naive.Parse(context.Background(), text.NewSource("in", input), ParseOptions{})
 	if err != nil {
 		t.Fatalf("naive: %v", err)
 	}
 	back, _ := Compile(tg, Backtracking())
-	_, sBack, err := back.Parse(text.NewSource("in", input))
+	_, sBack, err := back.Parse(context.Background(), text.NewSource("in", input), ParseOptions{})
 	if err != nil {
 		t.Fatalf("backtracking: %v", err)
 	}
@@ -421,7 +423,7 @@ E = "(" E ")" / "x" ;
 `, Optimized())
 	depth := 2000
 	input := strings.Repeat("(", depth) + "x" + strings.Repeat(")", depth)
-	if _, _, err := prog.Parse(text.NewSource("in", input)); err != nil {
+	if _, _, err := prog.Parse(context.Background(), text.NewSource("in", input), ParseOptions{}); err != nil {
 		t.Fatalf("deep nesting failed: %v", err)
 	}
 }
@@ -443,7 +445,7 @@ A = "a"? ;
 func TestParseWithTrace(t *testing.T) {
 	prog := build(t, calcGrammar, Optimized())
 	var buf strings.Builder
-	v, _, err := prog.ParseWithTrace(text.NewSource("in", "1+1"), &buf)
+	v, _, err := prog.Parse(context.Background(), text.NewSource("in", "1+1"), ParseOptions{Hook: prog.NewTraceText(&buf)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +460,7 @@ func TestParseWithTrace(t *testing.T) {
 	}
 	// Trace on failure shows the failing exits.
 	buf.Reset()
-	_, _, err = prog.ParseWithTrace(text.NewSource("in", "1+"), &buf)
+	_, _, err = prog.Parse(context.Background(), text.NewSource("in", "1+"), ParseOptions{Hook: prog.NewTraceText(&buf)})
 	if err == nil {
 		t.Fatal("must fail")
 	}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -30,7 +31,7 @@ func progFor(t *testing.T, top string) *vm.Program {
 
 func mustParse(t *testing.T, prog *vm.Program, input, what string) {
 	t.Helper()
-	if _, _, err := prog.Parse(text.NewSource(what, input)); err != nil {
+	if _, _, err := prog.Parse(context.Background(), text.NewSource(what, input), vm.ParseOptions{}); err != nil {
 		if pe, ok := err.(*vm.ParseError); ok {
 			t.Fatalf("%s corpus does not parse: %v\n%s", what, err, pe.Detail())
 		}

@@ -38,8 +38,7 @@ func TestAdversarialDeadline(t *testing.T) {
 	p := pathologicalParser(t)
 	input := workload.Pathological(40)
 	start := time.Now()
-	_, err := p.ParseContext(context.Background(), "adversarial", input,
-		Limits{MaxParseDuration: time.Millisecond})
+	_, _, err := p.ParseWith(context.Background(), "adversarial", input, ParseOptions{Limits: Limits{MaxParseDuration: time.Millisecond}})
 	elapsed := time.Since(start)
 	var le *LimitError
 	if !errors.As(err, &le) || le.Kind != LimitTime {
@@ -81,7 +80,7 @@ func TestAdversarialCorpusUnderLimits(t *testing.T) {
 				// of degrading (shedding is covered below).
 				lim, want = Limits{MaxMemoBytes: 64 << 10, Strict: true}, LimitMemo
 			}
-			_, err := p.ParseContext(ctx, a.Name, a.Input, lim)
+			_, _, err := p.ParseWith(ctx, a.Name, a.Input, ParseOptions{Limits: lim})
 			var le *LimitError
 			if !errors.As(err, &le) || le.Kind != want {
 				t.Fatalf("%s under %s limit: err = %v, want kind %v", a.Name, a.Attacks, err, want)
@@ -93,11 +92,11 @@ func TestAdversarialCorpusUnderLimits(t *testing.T) {
 			if a.Attacks == "time" {
 				return
 			}
-			if _, err := p.ParseContext(ctx, a.Name, a.Input, Limits{
+			if _, _, err := p.ParseWith(ctx, a.Name, a.Input, ParseOptions{Limits: Limits{
 				MaxCallDepth:     1 << 20,
 				MaxMemoBytes:     1 << 30,
 				MaxParseDuration: 2 * time.Minute,
-			}); err != nil {
+			}}); err != nil {
 				t.Fatalf("%s rejected under generous budgets: %v", a.Name, err)
 			}
 		})
@@ -120,15 +119,14 @@ func TestMemoSheddingBoundsFootprint(t *testing.T) {
 			if a.Module != mod || a.Attacks != "memory" {
 				continue
 			}
-			want, full, err := s.ParseWithStats(a.Name, a.Input)
+			want, full, err := s.ParseWith(context.Background(), a.Name, a.Input, ParseOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if full.MemoBytes <= budget {
 				t.Fatalf("%s: input too small to need shedding (%d memo bytes)", a.Name, full.MemoBytes)
 			}
-			v, stats, err := s.ParseContext(context.Background(), a.Name, a.Input,
-				Limits{MaxMemoBytes: budget})
+			v, stats, err := s.ParseWith(context.Background(), a.Name, a.Input, ParseOptions{Limits: Limits{MaxMemoBytes: budget}})
 			if err != nil {
 				t.Fatalf("%s: degraded parse failed: %v", a.Name, err)
 			}
@@ -151,7 +149,7 @@ func TestInputSizeLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	big := workload.Expression(workload.Config{Seed: 3, Size: 1 << 16})
-	_, err = p.ParseContext(context.Background(), "big", big, Limits{MaxInputBytes: 1 << 10})
+	_, _, err = p.ParseWith(context.Background(), "big", big, ParseOptions{Limits: Limits{MaxInputBytes: 1 << 10}})
 	var le *LimitError
 	if !errors.As(err, &le) || le.Kind != LimitInput {
 		t.Fatalf("err = %v, want input-bytes limit", err)
@@ -173,7 +171,7 @@ func TestParseBatchContextCancellation(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	results := p.ParseBatchContext(ctx, "batch", inputs, 4, Limits{})
+	results := p.ParseBatch(ctx, "batch", inputs, 4, Limits{})
 	if elapsed := time.Since(start); elapsed > 250*time.Millisecond {
 		t.Fatalf("cancellation drained the batch in %v, want <250ms", elapsed)
 	}
@@ -197,8 +195,7 @@ func TestConcurrentCancellationPublic(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			_, errs[g] = p.ParseContext(ctx, fmt.Sprintf("g%d", g),
-				workload.Pathological(40), Limits{})
+			_, _, errs[g] = p.ParseWith(ctx, fmt.Sprintf("g%d", g), workload.Pathological(40), ParseOptions{})
 		}(g)
 	}
 	time.Sleep(2 * time.Millisecond)
@@ -212,24 +209,58 @@ func TestConcurrentCancellationPublic(t *testing.T) {
 	}
 }
 
-// TestGovernedFacadeMatchesParse pins that the governed facade with
-// background context and zero limits is behaviourally identical to
-// Parse on a real grammar.
+// TestGovernedFacadeMatchesParse pins that ParseOptions never change
+// what a parse returns: every combination of limits, hook and trace ID,
+// on the pooled path and on a Session, under the optimized interpreter
+// and the compiled engine, yields the value, error and Stats of a plain
+// parse — for a valid document and for a syntax error.
 func TestGovernedFacadeMatchesParse(t *testing.T) {
-	p, err := New("json.value")
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc := workload.JSONDoc(workload.Config{Seed: 9, Size: 4096})
-	want, err := p.Parse("doc", doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := p.ParseContext(context.Background(), "doc", doc, Limits{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ValuesEqual(got, want) {
-		t.Fatal("ParseContext(background, zero limits) drifted from Parse")
+	ctx := context.Background()
+	inputs := []string{workload.JSONDoc(workload.Config{Seed: 9, Size: 4096}), `{"a": [1, 2}`}
+	generous := Limits{MaxInputBytes: 1 << 20, MaxMemoBytes: 1 << 30, MaxCallDepth: 1 << 20, MaxParseDuration: time.Minute}
+	const traceID = "4bf92f3577b34da6a3ce929d0e0e4736"
+	for _, engine := range []string{"optimized", "compiled"} {
+		e, err := EngineByName(engine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := New("json.value", WithEngine(e))
+		if err != nil {
+			t.Fatal(err)
+		}
+		options := map[string]ParseOptions{
+			"zero":   {},
+			"limits": {Limits: generous},
+			"hook":   {Hook: p.NewProfiler()},
+			"trace":  {TraceID: traceID},
+			"all":    {Limits: generous, Hook: p.NewProfiler(), TraceID: traceID},
+		}
+		s := p.NewSession()
+		paths := []struct {
+			name  string
+			parse func(context.Context, string, string, ParseOptions) (Value, ParseStats, error)
+		}{{"pooled", p.ParseWith}, {"session", s.ParseWith}}
+		for i, in := range inputs {
+			want, wantErr := p.Parse("doc", in)
+			if (wantErr == nil) != (i == 0) {
+				t.Fatalf("%s input %d: plain parse err = %v", engine, i, wantErr)
+			}
+			_, wantStats, _ := p.ParseWith(ctx, "doc", in, ParseOptions{})
+			for oname, o := range options {
+				for _, path := range paths {
+					got, gotStats, gotErr := path.parse(ctx, "doc", in, o)
+					where := fmt.Sprintf("%s/%s/%s/input %d", engine, oname, path.name, i)
+					if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+						t.Fatalf("%s: err %v, want %v", where, gotErr, wantErr)
+					}
+					if !ValuesEqual(got, want) {
+						t.Fatalf("%s: value drifted from Parse", where)
+					}
+					if gotStats != wantStats {
+						t.Fatalf("%s: stats %v, want %v", where, gotStats, wantStats)
+					}
+				}
+			}
+		}
 	}
 }

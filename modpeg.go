@@ -157,7 +157,7 @@ type Profile = vm.Profile
 type ProdProfile = vm.ProdProfile
 
 // Profiler is the profiling ParseHook: install one on any number of
-// parses (Parser.NewProfiler, then ParseWithHook) and snapshot the
+// parses (Parser.NewProfiler, then ParseOptions.Hook) and snapshot the
 // aggregate with its Profile method.
 type Profiler = vm.Profiler
 
@@ -212,7 +212,7 @@ func WritePrometheus(w io.Writer, m EngineMetrics) error {
 // TraceExporter is a ParseHook streaming Chrome trace-event JSON — a
 // timeline of production spans, memo hits, and memo sheds loadable in
 // Perfetto or chrome://tracing. Create one with Parser.NewTraceJSON,
-// install it with ParseWithHook, and Close it when done.
+// install it as ParseOptions.Hook, and Close it when done.
 type TraceExporter = telemetry.Trace
 
 // NewTraceJSON creates a trace-event exporter for this parser's
@@ -374,6 +374,13 @@ func New(top string, opts ...Option) (*Parser, error) {
 	}, nil
 }
 
+// ParseOptions configures one parse: resource Limits, an event Hook
+// (a Profiler, a trace exporter, or your own), and a W3C TraceID that
+// the latency histogram records as an exemplar. The zero value is a
+// plain parse. Leave Hook nil when no hook is wanted: a nil *Profiler
+// stored in the interface is a non-nil hook.
+type ParseOptions = vm.ParseOptions
+
 // Parse parses input (name labels it in diagnostics), requiring the root
 // production to consume the whole input.
 //
@@ -382,50 +389,34 @@ func New(top string, opts ...Option) (*Parser, error) {
 // safe to call concurrently from multiple goroutines; every call works on
 // its own session.
 func (p *Parser) Parse(name, input string) (Value, error) {
-	v, _, err := p.prog.Parse(text.NewSource(name, input))
+	v, _, err := p.ParseWith(context.Background(), name, input, ParseOptions{})
 	return v, err
 }
 
-// ParseContext is Parse under a context and resource budgets: the
-// parse stops with a typed *LimitError when ctx is canceled, a deadline
-// (ctx's or lim.MaxParseDuration's, whichever is sooner) passes, or a
-// budget in lim is exhausted. Passing context.Background() and zero
-// Limits behaves exactly like Parse, including the pooled
-// zero-allocation steady state.
-func (p *Parser) ParseContext(ctx context.Context, name, input string, lim Limits) (Value, error) {
-	v, _, err := p.prog.ParseContext(ctx, text.NewSource(name, input), lim)
-	return v, err
+// ParseWith is Parse under ctx and opts, returning the engine
+// statistics of the run. The parse stops with a typed *LimitError when
+// ctx is canceled, a deadline (ctx's or opts.Limits.MaxParseDuration's,
+// whichever is sooner) passes, or a budget in opts.Limits is exhausted;
+// opts.Hook receives the run's events; opts.TraceID tags the run's
+// latency observation. context.Background() with zero ParseOptions
+// behaves exactly like Parse, including the pooled zero-allocation
+// steady state.
+func (p *Parser) ParseWith(ctx context.Context, name, input string, opts ParseOptions) (Value, ParseStats, error) {
+	return p.prog.Parse(ctx, text.NewSource(name, input), opts)
 }
 
-// ParseContextWithStats is ParseContext plus the engine statistics of
-// the run — the entry point a parse service uses: pooled, governed, and
-// reporting what the parse cost.
+// ParseContextWithStats is ParseWith with only Limits set.
+//
+// Deprecated: use ParseWith(ctx, name, input, ParseOptions{Limits: lim}).
 func (p *Parser) ParseContextWithStats(ctx context.Context, name, input string, lim Limits) (Value, ParseStats, error) {
-	return p.prog.ParseContext(ctx, text.NewSource(name, input), lim)
+	return p.ParseWith(ctx, name, input, ParseOptions{Limits: lim})
 }
 
-// ParseContextWithHook is ParseContext with h receiving the run's parse
-// events — governance and instrumentation on the same pooled parse.
-func (p *Parser) ParseContextWithHook(ctx context.Context, name, input string, lim Limits, h ParseHook) (Value, ParseStats, error) {
-	return p.prog.ParseContextWithHook(ctx, text.NewSource(name, input), lim, h)
-}
-
-// ParseContextTraced is ParseContextWithStats carrying a W3C trace ID:
-// the parse's latency observation records (trace ID, grammar label,
-// duration) as an exemplar on the histogram bucket it lands in, so
-// tail-bucket scrapes carry real trace IDs. An empty traceID makes
-// this exactly ParseContextWithStats, zero-allocation steady state
-// included.
+// ParseContextTraced is ParseWith with Limits and TraceID set.
+//
+// Deprecated: use ParseWith(ctx, name, input, ParseOptions{Limits: lim, TraceID: traceID}).
 func (p *Parser) ParseContextTraced(ctx context.Context, name, input string, lim Limits, traceID string) (Value, ParseStats, error) {
-	return p.prog.ParseContextTraced(ctx, text.NewSource(name, input), lim, traceID)
-}
-
-// ParseContextTracedWithHook is ParseContextWithHook carrying a W3C
-// trace ID; when h also implements TraceContextParseHook it receives
-// the ID before any parse event (the Chrome-trace exporter stamps its
-// timeline with it).
-func (p *Parser) ParseContextTracedWithHook(ctx context.Context, name, input string, lim Limits, traceID string, h ParseHook) (Value, ParseStats, error) {
-	return p.prog.ParseContextTracedWithHook(ctx, text.NewSource(name, input), lim, traceID, h)
+	return p.ParseWith(ctx, name, input, ParseOptions{Limits: lim, TraceID: traceID})
 }
 
 // TraceContextParseHook is the optional ParseHook extension that
@@ -495,34 +486,16 @@ func (p *Parser) NewSession() *Session {
 
 // Parse is Parser.Parse on the reusable session context.
 func (s *Session) Parse(name, input string) (Value, error) {
-	v, _, err := s.s.Parse(text.NewSource(name, input))
+	v, _, err := s.ParseWith(context.Background(), name, input, ParseOptions{})
 	return v, err
 }
 
-// ParseWithStats is Parse plus the engine statistics of the run.
-func (s *Session) ParseWithStats(name, input string) (Value, ParseStats, error) {
-	return s.s.Parse(text.NewSource(name, input))
-}
-
-// ParseContext is Parser.ParseContext on the reusable session context,
-// returning the run's engine statistics alongside the value (a
+// ParseWith is Parser.ParseWith on the reusable session context (a
 // memo-shedding run reports its bounded footprint in Stats.MemoBytes
-// and the shed in Stats.MemoSheds).
-func (s *Session) ParseContext(ctx context.Context, name, input string, lim Limits) (Value, ParseStats, error) {
-	return s.s.ParseContext(ctx, text.NewSource(name, input), lim)
-}
-
-// ParseWithProfile is Parse plus the engine statistics and a
-// per-production profile of the run. To aggregate across a session's
-// parses instead, install one Parser.NewProfiler via ParseWithHook.
-func (s *Session) ParseWithProfile(name, input string) (Value, ParseStats, *Profile, error) {
-	return s.s.ParseWithProfile(text.NewSource(name, input))
-}
-
-// ParseWithHook is Parse with h receiving the run's parse events. The
-// same hook may serve consecutive parses to aggregate across them.
-func (s *Session) ParseWithHook(name, input string, h ParseHook) (Value, ParseStats, error) {
-	return s.s.ParseWithHook(text.NewSource(name, input), h)
+// and the shed in Stats.MemoSheds). The same hook may serve
+// consecutive parses to aggregate across them.
+func (s *Session) ParseWith(ctx context.Context, name, input string, opts ParseOptions) (Value, ParseStats, error) {
+	return s.s.Parse(ctx, text.NewSource(name, input), opts)
 }
 
 // Edit describes one textual change to a Document: the OldLen bytes at
@@ -593,68 +566,33 @@ type BatchResult = vm.Result
 // outcome of inputs[i] — value, per-input statistics, and error —
 // regardless of which worker parsed it or when it finished. Input i is
 // labelled "name[i]" in diagnostics.
-func (p *Parser) ParseBatch(name string, inputs []string, workers int) []BatchResult {
+//
+// Each input is parsed under lim, and cancelling ctx drains the batch
+// promptly: in-flight parses abort on their next governance poll and
+// unstarted inputs are marked with a *LimitError without being parsed.
+// Every result slot is filled either way. For a profile of the batch,
+// run one NewProfiler per goroutine through ParseWith and merge the
+// snapshots with Profile.Add.
+func (p *Parser) ParseBatch(ctx context.Context, name string, inputs []string, workers int, lim Limits) []BatchResult {
 	srcs := make([]*text.Source, len(inputs))
 	for i, in := range inputs {
 		srcs[i] = text.NewSource(fmt.Sprintf("%s[%d]", name, i), in)
 	}
-	return p.prog.ParseAll(srcs, workers)
-}
-
-// ParseBatchContext is ParseBatch under a context and per-input
-// resource budgets: each input is parsed under lim, and cancellation
-// drains the batch promptly — in-flight parses abort on their next
-// governance poll and unstarted inputs are marked with a *LimitError
-// without being parsed. Every result slot is filled either way.
-func (p *Parser) ParseBatchContext(ctx context.Context, name string, inputs []string, workers int, lim Limits) []BatchResult {
-	srcs := make([]*text.Source, len(inputs))
-	for i, in := range inputs {
-		srcs[i] = text.NewSource(fmt.Sprintf("%s[%d]", name, i), in)
-	}
-	return p.prog.ParseAllContext(ctx, srcs, workers, lim)
+	return p.prog.ParseAll(ctx, srcs, workers, lim)
 }
 
 // BatchStats aggregates the per-input statistics of a batch.
 func BatchStats(results []BatchResult) ParseStats { return vm.TotalStats(results) }
 
-// ParseWithStats is Parse plus the engine statistics of the run.
-func (p *Parser) ParseWithStats(name, input string) (Value, ParseStats, error) {
-	return p.prog.Parse(text.NewSource(name, input))
-}
-
-// ParseWithProfile is Parse plus the engine statistics and a
-// per-production profile of the run. Profiling reads the clock on every
-// production entry and exit; use Parse when the numbers aren't wanted.
-func (p *Parser) ParseWithProfile(name, input string) (Value, ParseStats, *Profile, error) {
-	return p.prog.ParseWithProfile(text.NewSource(name, input))
-}
-
-// ParseWithHook is Parse with h receiving the run's parse events.
-func (p *Parser) ParseWithHook(name, input string, h ParseHook) (Value, ParseStats, error) {
-	return p.prog.ParseWithHook(text.NewSource(name, input), h)
-}
-
 // NewProfiler returns a reusable profiling hook for this parser's
-// productions: install it with ParseWithHook on any number of parses
+// productions: install it as ParseOptions.Hook on any number of parses
 // (one goroutine at a time) and snapshot the aggregate with Profile.
 func (p *Parser) NewProfiler() *Profiler { return p.prog.NewProfiler() }
 
-// ParseBatchProfiled is ParseBatch plus one profile aggregated across
-// all workers' parses.
-func (p *Parser) ParseBatchProfiled(name string, inputs []string, workers int) ([]BatchResult, *Profile) {
-	srcs := make([]*text.Source, len(inputs))
-	for i, in := range inputs {
-		srcs[i] = text.NewSource(fmt.Sprintf("%s[%d]", name, i), in)
-	}
-	return p.prog.ParseAllProfiled(srcs, workers)
-}
-
-// ParseWithTrace is Parse with a human-readable production-call trace
-// streamed to w — the grammar-debugging aid.
-func (p *Parser) ParseWithTrace(name, input string, w io.Writer) (Value, error) {
-	v, _, err := p.prog.ParseWithTrace(text.NewSource(name, input), w)
-	return v, err
-}
+// NewTraceText returns a hook streaming a human-readable
+// production-call trace to w — the grammar-debugging aid: one line per
+// production entry, exit, and memo hit, indented by call depth.
+func (p *Parser) NewTraceText(w io.Writer) ParseHook { return p.prog.NewTraceText(w) }
 
 // Top returns the top module name the parser was composed from.
 func (p *Parser) Top() string { return p.top }

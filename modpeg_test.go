@@ -1,6 +1,7 @@
 package modpeg
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -117,7 +118,7 @@ func TestEngineAndOptimizationOptions(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		v, stats, err := p.ParseWithStats("in", `{"a": [1, 2, {"b": null}]}`)
+		v, stats, err := p.ParseWith(context.Background(), "in", `{"a": [1, 2, {"b": null}]}`, ParseOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -213,7 +214,7 @@ func TestLintAndJSONAndTraceAPI(t *testing.T) {
 	}
 
 	var trace strings.Builder
-	if _, err := calc.ParseWithTrace("in", "1+2", &trace); err != nil {
+	if _, _, err := calc.ParseWith(context.Background(), "in", "1+2", ParseOptions{Hook: calc.NewTraceText(&trace)}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(trace.String(), "memo-hit") {
@@ -229,11 +230,11 @@ func TestSessionFacade(t *testing.T) {
 	s := p.NewSession()
 	inputs := []string{"1 + 2**3", "4*5", "1 + 2**3"}
 	for _, in := range inputs {
-		want, wantStats, err := p.ParseWithStats("in", in)
+		want, wantStats, err := p.ParseWith(context.Background(), "in", in, ParseOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, gotStats, err := s.ParseWithStats("in", in)
+		got, gotStats, err := s.ParseWith(context.Background(), "in", in, ParseOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +264,7 @@ func TestParseBatchFacade(t *testing.T) {
 		`[1, 2, 3]`,
 		`"hello"`,
 	}
-	results := p.ParseBatch("doc", inputs, 0)
+	results := p.ParseBatch(context.Background(), "doc", inputs, 0, Limits{})
 	if len(results) != len(inputs) {
 		t.Fatalf("results = %d", len(results))
 	}

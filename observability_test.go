@@ -1,25 +1,29 @@
 package modpeg
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// TestParseWithProfileFacade checks the public profiling entry point on
-// a bundled grammar: the profile's call total must equal the engine's
-// own Stats.Calls, and the parse result must not drift from Parse.
+// TestParseWithProfileFacade checks a profiled parse on a bundled
+// grammar: the profile's call total must equal the engine's own
+// Stats.Calls, and the parse result must not drift from Parse.
 func TestParseWithProfileFacade(t *testing.T) {
 	p, err := New("java.core")
 	if err != nil {
 		t.Fatal(err)
 	}
 	input := "class A { int f(int x) { return x * (x + 1); } }"
-	v, stats, prof, err := p.ParseWithProfile("in", input)
+	pr := p.NewProfiler()
+	v, stats, err := p.ParseWith(context.Background(), "in", input, ParseOptions{Hook: pr})
 	if err != nil {
 		t.Fatal(err)
 	}
+	prof := pr.Profile()
 	want, err := p.Parse("in", input)
 	if err != nil {
 		t.Fatal(err)
@@ -34,14 +38,6 @@ func TestParseWithProfileFacade(t *testing.T) {
 	if !strings.Contains(report, "production") || !strings.Contains(report, "total") {
 		t.Fatalf("malformed report:\n%s", report)
 	}
-	// Session facade agrees.
-	_, sStats, sProf, err := p.NewSession().ParseWithProfile("in", input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sProf.TotalCalls() != int64(sStats.Calls) || sStats != stats {
-		t.Errorf("session profile drift: %d calls vs stats %v", sProf.TotalCalls(), sStats)
-	}
 }
 
 // TestProfilerHookFacade aggregates one Profiler across parses driven
@@ -54,7 +50,7 @@ func TestProfilerHookFacade(t *testing.T) {
 	pr := p.NewProfiler()
 	var want int64
 	for _, in := range []string{"1+2**3", "4*5", "(1+2)*(3-4)"} {
-		_, st, err := p.ParseWithHook("in", in, pr)
+		_, st, err := p.ParseWith(context.Background(), "in", in, ParseOptions{Hook: pr})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,9 +61,12 @@ func TestProfilerHookFacade(t *testing.T) {
 	}
 }
 
-// TestParseBatchProfiledFacade cross-checks the batch profile against
-// the aggregated batch stats.
-func TestParseBatchProfiledFacade(t *testing.T) {
+// TestProfiledBatchRecipe runs the documented recipe for profiling a
+// concurrent batch — one Profiler per goroutine, snapshots merged with
+// Profile.Add — and cross-checks the merged profile against the
+// per-input stats. Under -race it also shows the goroutines' profilers
+// share no state.
+func TestProfiledBatchRecipe(t *testing.T) {
 	p, err := New("json.value")
 	if err != nil {
 		t.Fatal(err)
@@ -77,15 +76,31 @@ func TestParseBatchProfiledFacade(t *testing.T) {
 		inputs = append(inputs, fmt.Sprintf(`{"k%d": [%d, true, "v"]}`, i, i))
 	}
 	inputs = append(inputs, "not json")
-	results, prof := p.ParseBatchProfiled("doc", inputs, 4)
-	if len(results) != len(inputs) {
-		t.Fatalf("results = %d", len(results))
+	const workers = 4
+	results := make([]BatchResult, len(inputs))
+	total := p.NewProfiler().Profile() // empty, this grammar's rows
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			pr := p.NewProfiler()
+			for i := w; i < len(inputs); i += workers {
+				v, st, err := p.ParseWith(context.Background(), "doc", inputs[i], ParseOptions{Hook: pr})
+				results[i] = BatchResult{Value: v, Stats: st, Err: err}
+			}
+			mu.Lock()
+			total.Add(pr.Profile())
+			mu.Unlock()
+		}(w)
 	}
+	wg.Wait()
 	if results[len(results)-1].Err == nil {
 		t.Fatal("invalid input must fail in place")
 	}
-	if got, want := prof.TotalCalls(), int64(BatchStats(results).Calls); got != want {
-		t.Errorf("batch profile calls %d, stats calls %d", got, want)
+	if got, want := total.TotalCalls(), int64(BatchStats(results).Calls); got != want {
+		t.Errorf("merged profile calls %d, stats calls %d", got, want)
 	}
 }
 
