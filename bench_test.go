@@ -133,8 +133,9 @@ func BenchmarkTable2Ablation(b *testing.B) {
 // ---------------------------------------------------------------- Table 3
 //
 // Engine comparison on realistic corpora: plain backtracking vs naive
-// packrat vs the optimized engine, on the Java and C subsets, plus the
-// generated-code parser vs the interpreting engine on the calculator.
+// packrat vs the optimized interpreter vs the closure-compiled engine,
+// on the Java, C and JSON subsets, plus the generated-code parser vs the
+// interpreting engine on the calculator.
 
 func BenchmarkTable3Engines(b *testing.B) {
 	corpora := []struct {
@@ -145,7 +146,8 @@ func BenchmarkTable3Engines(b *testing.B) {
 		// The java corpus is named by size, not language: the bench gate
 		// (scripts/bench.sh → bench_check.sh) derives java-40KB-ns-per-byte
 		// from the "size=40KB/optimized" row, matching the seed reference
-		// row recorded in the bench JSON.
+		// row recorded in the bench JSON, and java-40KB-compiled-ns-per-byte
+		// from "size=40KB/compiled".
 		{"size=40KB", grammars.JavaCore, workload.JavaProgram(workload.Config{Seed: 7, Size: 40 * 1024})},
 		{"c", grammars.CCore, workload.CProgram(workload.Config{Seed: 7, Size: 40 * 1024})},
 		{"json", grammars.JSON, workload.JSONDoc(workload.Config{Seed: 7, Size: 40 * 1024})},
@@ -154,28 +156,16 @@ func BenchmarkTable3Engines(b *testing.B) {
 		name  string
 		topts transform.Options
 		eopts vm.Options
-		pgo   bool // recompile with a profile of the same corpus
 	}{
-		{"backtracking", transform.Defaults(), vm.Backtracking(), false},
-		{"naive-packrat", transform.Baseline(), vm.NaivePackrat(), false},
-		{"optimized", transform.Defaults(), vm.Optimized(), false},
-		{"optimized+pgo", transform.Defaults(), vm.Optimized(), true},
+		{"backtracking", transform.Defaults(), vm.Backtracking()},
+		{"naive-packrat", transform.Baseline(), vm.NaivePackrat()},
+		{"optimized", transform.Defaults(), vm.Optimized()},
+		{"compiled", transform.Defaults(), vm.CompiledEngine()},
 	}
 	for _, c := range corpora {
 		for _, e := range engines {
 			b.Run(c.lang+"/"+e.name, func(b *testing.B) {
-				eopts := e.eopts
-				if e.pgo {
-					// Profile-guided compilation: one profiled parse of the
-					// corpus feeds the hot-production report back into Compile.
-					prog := mustProgram(b, c.top, e.topts, eopts)
-					pr := prog.NewProfiler()
-					if _, _, err := prog.Parse(context.Background(), text.NewSource("bench", c.input), vm.ParseOptions{Hook: pr}); err != nil {
-						b.Fatal(err)
-					}
-					eopts.PGO = pr.Profile().PGO()
-				}
-				prog := mustProgram(b, c.top, e.topts, eopts)
+				prog := mustProgram(b, c.top, e.topts, e.eopts)
 				benchParse(b, prog, c.input)
 			})
 		}

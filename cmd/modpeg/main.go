@@ -100,17 +100,14 @@ commands:
                                    print the composed grammar
   check    [-d dir] <top>          compose and run the static checks
   parse    [-d dir] [-engine name] [-indent] [-stats] [-profile]
-           [-pgo profile.json] [-trace-json file] [-timeout d]
-           [-max-memo n] [-max-depth n] [-strict]
-           [-incremental -edits script] <top> [file]
+           [-trace-json file] [-timeout d] [-max-memo n] [-max-depth n]
+           [-strict] [-incremental -edits script] <top> [file]
                                    parse a file (or stdin) and print the AST,
                                    optionally under resource limits, through
                                    an incremental edit script, exporting a
-                                   Chrome trace-event file, on a selected
+                                   Chrome trace-event file, or on a selected
                                    engine (-engine compiled runs the
-                                   closure-compiled engine), or recompiled
-                                   with profile-guided inlining (-pgo takes
-                                   the JSON written by profile -json)
+                                   closure-compiled engine)
   profile  [-d dir] [-n reps] [-top n] [-json] [-metrics] [-trace-json file]
            [-gen kb] <top> [file]
                                    profile parses of a file (or stdin, or a
@@ -276,32 +273,16 @@ func cmdParse(args []string, stdin io.Reader, w io.Writer) error {
 	strict := fs.Bool("strict", false, "fail when the memo budget is hit instead of shedding memoization")
 	incremental := fs.Bool("incremental", false, "parse as an editable document and replay the -edits script incrementally")
 	editsPath := fs.String("edits", "", "edit script for -incremental: lines \"@off oldLen [\\\"text\\\"]\", blank-line-separated batches")
-	pgoPath := fs.String("pgo", "", "profile report (modpeg profile -json) enabling profile-guided inlining")
 	engine := fs.String("engine", "optimized", "parse engine: optimized, compiled, naive-packrat, or backtracking")
 	fs.SetOutput(io.Discard)
 	if err := fs.Parse(args); err != nil || fs.NArg() < 1 || fs.NArg() > 2 {
-		return fmt.Errorf("usage: modpeg parse [-d dir] [-engine name] [-indent] [-stats] [-profile] [-pgo profile.json] [-trace-json file] [-timeout d] [-max-memo n] [-max-depth n] [-strict] [-incremental -edits script] <top-module> [file]")
+		return fmt.Errorf("usage: modpeg parse [-d dir] [-engine name] [-indent] [-stats] [-profile] [-trace-json file] [-timeout d] [-max-memo n] [-max-depth n] [-strict] [-incremental -edits script] <top-module> [file]")
 	}
-	opts := moduleOpts(*dir)
 	e, err := modpeg.EngineByName(*engine)
 	if err != nil {
 		return err
 	}
-	if *pgoPath != "" {
-		data, rerr := os.ReadFile(*pgoPath)
-		if rerr != nil {
-			return rerr
-		}
-		pgo, perr := modpeg.LoadPGO(data)
-		if perr != nil {
-			return perr
-		}
-		e.PGO = pgo
-	}
-	if *engine != "optimized" || *pgoPath != "" {
-		opts = append(opts, modpeg.WithEngine(e))
-	}
-	p, err := modpeg.New(fs.Arg(0), opts...)
+	p, err := modpeg.New(fs.Arg(0), append(moduleOpts(*dir), modpeg.WithEngine(e))...)
 	if err != nil {
 		return err
 	}
@@ -728,14 +709,13 @@ func cmdServe(args []string, stderr io.Writer) error {
 	pprofFlag := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	quiet := fs.Bool("quiet", false, "disable structured request and parse logging")
 	registryDir := fs.String("registry-dir", "", "persist uploaded grammar versions in this directory (empty = in-memory registry)")
-	engine := fs.String("engine", "optimized", "engine for bundled/module-dir grammars: optimized or compiled (registry uploads choose per grammar)")
 	maxTenants := fs.Int("max-tenants", 0, "cap on registry tenant namespaces (0 = 64)")
 	sampleEvery := fs.Int("sample-every", 0, "profile 1 in n parses of the statically served grammars (0 = off; registry tenants set their own rate per upload)")
 	slowParse := fs.Duration("slow-parse", 0, "flight-recorder latency threshold (0 = 250ms default)")
 	flightRecords := fs.Int("flight-records", 0, "flight-recorder ring capacity (0 = 256)")
 	fs.SetOutput(io.Discard)
 	if err := fs.Parse(args); err != nil || fs.NArg() != 0 {
-		return fmt.Errorf("usage: modpeg serve [-addr host:port] [-grammars a,b] [-d dir] [-engine name] [-timeout d] [-max-input n] [-max-memo n] [-max-depth n] [-strict] [-max-body n] [-pprof] [-quiet] [-registry-dir dir] [-max-tenants n] [-sample-every n] [-slow-parse d] [-flight-records n]")
+		return fmt.Errorf("usage: modpeg serve [-addr host:port] [-grammars a,b] [-d dir] [-timeout d] [-max-input n] [-max-memo n] [-max-depth n] [-strict] [-max-body n] [-pprof] [-quiet] [-registry-dir dir] [-max-tenants n] [-sample-every n] [-slow-parse d] [-flight-records n]")
 	}
 	served := modpeg.BundledGrammars()
 	if *grammarList != "" {
@@ -768,7 +748,6 @@ func cmdServe(args []string, stderr io.Writer) error {
 	}
 	s, err := serve.New(serve.Config{
 		Grammars:      served,
-		Engine:        *engine,
 		ModuleDir:     *dir,
 		Limits:        limits,
 		MaxBodyBytes:  *maxBody,

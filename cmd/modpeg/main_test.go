@@ -334,34 +334,6 @@ func TestParseJSONFlag(t *testing.T) {
 	}
 }
 
-func TestParsePGOFlag(t *testing.T) {
-	// Round trip: profile -json writes the report, parse -pgo feeds it
-	// back into Compile for profile-guided inlining. The AST must be
-	// unchanged; the inlined compile must still parse the corpus.
-	report, errb, code := runCmd(t, "", "profile", "-gen", "2", "-json", "calc.core")
-	if code != 0 {
-		t.Fatalf("profile: code = %d, err = %s", code, errb)
-	}
-	path := filepath.Join(t.TempDir(), "prof.json")
-	if err := os.WriteFile(path, []byte(report), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	plain, _, code := runCmd(t, "1+2*3", "parse", "calc.core")
-	if code != 0 {
-		t.Fatalf("plain parse: code = %d", code)
-	}
-	pgo, errb, code := runCmd(t, "1+2*3", "parse", "-pgo", path, "calc.core")
-	if code != 0 {
-		t.Fatalf("pgo parse: code = %d, err = %s", code, errb)
-	}
-	if pgo != plain {
-		t.Errorf("-pgo changed the AST:\n pgo:   %s\n plain: %s", pgo, plain)
-	}
-	if _, errb, code := runCmd(t, "", "parse", "-pgo", filepath.Join(t.TempDir(), "missing.json"), "calc.core"); code == 0 {
-		t.Errorf("missing -pgo file must fail, got code 0 (%s)", errb)
-	}
-}
-
 func TestParseProfileFlag(t *testing.T) {
 	out, _, code := runCmd(t, "1+2*3", "parse", "-profile", "calc.core")
 	if code != 0 {

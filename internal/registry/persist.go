@@ -43,11 +43,6 @@ type grammarMeta struct {
 	Active int     `json:"active"`
 	Next   int     `json:"next"`
 	Probes []Probe `json:"probes,omitempty"`
-	// Engines records each persisted version's engine choice, keyed by
-	// version number; versions absent from the map use the optimized
-	// interpreter. Kept per version so a reload rebuilds every version
-	// on the engine it was uploaded for.
-	Engines map[int]string `json:"engines,omitempty"`
 }
 
 // persistTenant writes the tenant's budget file. Caller holds r.mu.
@@ -98,14 +93,6 @@ func (r *Registry) persistGrammar(g *grammar) {
 		}
 	}
 	meta := grammarMeta{Active: active, Next: g.nextVersion, Probes: g.probes}
-	for _, v := range g.versions {
-		if v.engine != "" && (v.st == stateReady || v.st == stateActive) {
-			if meta.Engines == nil {
-				meta.Engines = make(map[int]string)
-			}
-			meta.Engines[v.number] = v.engine
-		}
-	}
 	if data, err := json.MarshalIndent(meta, "", "  "); err == nil {
 		writeFileAtomic(filepath.Join(dir, "meta.json"), append(data, '\n'))
 	}
@@ -255,7 +242,7 @@ func (r *Registry) loadTenant(tenantName string) error {
 		sort.Ints(numbers)
 		for _, n := range numbers {
 			src := l.sources[n]
-			v := &version{number: n, source: src, engine: l.meta.Engines[n], created: time.Now().UTC(), st: stateCompiling}
+			v := &version{number: n, source: src, created: time.Now().UTC(), st: stateCompiling}
 			modules := make(map[string]string, len(activeSources)+1)
 			for k, s := range activeSources {
 				modules[k] = s

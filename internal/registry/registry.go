@@ -13,7 +13,7 @@
 // (tenant, grammar) slot, then builds in the background: the source is
 // parsed, composed against the tenant's other registered grammars (the
 // uploaded module may `modify` any of them) with the bundled grammars
-// as fallback, compiled for the optimized engine, and smoked against
+// as fallback, compiled for the closure-compiled engine, and smoked against
 // the grammar's probe corpus — every probe input must parse (or must
 // fail, for negative probes) under the tenant's budgets before the
 // version may activate. Only then is the version atomically swapped in.
@@ -174,11 +174,6 @@ type Upload struct {
 	// Limits optionally tightens the tenant's parse budgets (each
 	// budget may shrink, never grow; see vm.Limits.Tighten).
 	Limits *modpeg.Limits `json:"limits,omitempty"`
-	// Engine selects this version's parse engine: "" or "optimized"
-	// for the interpreting engine, "compiled" for the closure-compiled
-	// one. The choice is per version — a later upload may switch it —
-	// and survives restarts.
-	Engine string `json:"engine,omitempty"`
 	// SampleEvery, when non-nil, sets the tenant's always-on profiling
 	// rate: 1 in SampleEvery parses against any of the tenant's grammar
 	// versions runs under the per-production profiler, feeding the
@@ -210,7 +205,6 @@ const (
 type version struct {
 	number   int
 	source   string
-	engine   string // "" = optimized; "compiled" = closure-compiled
 	created  time.Time
 	st       state // guarded by grammar.mu
 	failure  string
@@ -302,7 +296,6 @@ type VersionInfo struct {
 	Version     int       `json:"version"`
 	State       string    `json:"state"`
 	Label       string    `json:"label"`
-	Engine      string    `json:"engine,omitempty"`
 	SourceBytes int       `json:"source_bytes"`
 	CreatedAt   time.Time `json:"created_at"`
 	Inflight    int64     `json:"inflight"`
@@ -328,11 +321,6 @@ func (r *Registry) Upload(ctx context.Context, tenantName, name string, up Uploa
 	}
 	if len(up.Probes) > r.cfg.MaxProbes {
 		return VersionInfo{}, errf(KindCapacity, "%d probes, cap %d", len(up.Probes), r.cfg.MaxProbes)
-	}
-	switch up.Engine {
-	case "", "optimized", "compiled":
-	default:
-		return VersionInfo{}, errf(KindBadRequest, "unknown engine %q (want optimized or compiled)", up.Engine)
 	}
 	if up.SampleEvery != nil && *up.SampleEvery < 0 {
 		return VersionInfo{}, errf(KindBadRequest, "sample_every must be >= 0 (0 disables sampling)")
@@ -375,7 +363,6 @@ func (r *Registry) Upload(ctx context.Context, tenantName, name string, up Uploa
 	v := &version{
 		number:  g.nextVersion,
 		source:  up.Source,
-		engine:  up.Engine,
 		created: time.Now().UTC(),
 		st:      stateCompiling,
 	}
@@ -543,12 +530,9 @@ func (r *Registry) build(g *grammar, v *version, modules map[string]string, prob
 // compile composes the uploaded module against the tenant snapshot,
 // the optional module directory, and the bundled grammars.
 func (r *Registry) compile(g *grammar, v *version, modules map[string]string) (*modpeg.Parser, error) {
-	opts := []modpeg.Option{modpeg.WithModules(modules)}
+	opts := []modpeg.Option{modpeg.WithModules(modules), modpeg.WithEngine(modpeg.EngineCompiled())}
 	if r.cfg.ModuleDir != "" {
 		opts = append(opts, modpeg.WithModuleDir(r.cfg.ModuleDir))
-	}
-	if v.engine == "compiled" {
-		opts = append(opts, modpeg.WithEngine(modpeg.EngineCompiled()))
 	}
 	parser, err := modpeg.New(g.name, opts...)
 	if err != nil {
@@ -800,14 +784,9 @@ type Listing struct {
 }
 
 func infoOf(v *version) VersionInfo {
-	eng := v.engine
-	if eng == "" {
-		eng = "optimized"
-	}
 	return VersionInfo{
 		Version:     v.number,
 		State:       string(v.st),
-		Engine:      eng,
 		SourceBytes: len(v.source),
 		CreatedAt:   v.created,
 		Inflight:    v.inflight.Load(),

@@ -224,6 +224,10 @@ func TestRegistryErrorMapping(t *testing.T) {
 		{"unknown field upload", http.MethodPost, "/grammars/acme/t.base",
 			`{"source":"x","bogus":1}`,
 			http.StatusBadRequest, "bad-request"},
+		// Uploads no longer choose an engine: the old field is unknown.
+		{"engine field upload", http.MethodPost, "/grammars/acme/t.base",
+			`{"source":"module t.base;\noption root = Top;\npublic Top = Item+ EOF ;\nItem = <a> \"a\" ;\nvoid EOF = !. ;\n","engine":"compiled"}`,
+			http.StatusBadRequest, "bad-request"},
 		{"bad delete version", http.MethodDelete, "/grammars/acme/t.base/zero", "",
 			http.StatusBadRequest, "bad-request"},
 		{"delete missing version", http.MethodDelete, "/grammars/acme/t.base/7", "",

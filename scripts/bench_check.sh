@@ -14,8 +14,8 @@
 #   3. The byte-level hot-path ratchet: derived/java-40KB-ns-per-byte
 #      (optimized engine, 40 KB java corpus) must stay at or below
 #      450 ns/byte. The seed engine measured 723 ns/byte; the scan-
-#      fusion + choice-table + PGO engine measures ~300 on an idle
-#      machine, so 450 locks in the win while tolerating noisy CI.
+#      fusion + choice-table engine measures ~300 on an idle machine,
+#      so 450 locks in the win while tolerating noisy CI.
 #   4. The compiled-engine speedup ratchets (minimums, scaled x1000):
 #      derived/compiled-void-speedup-x1000 >= 2000 — the closure tree
 #      must stay at least 2x faster than the interpreter on pure parser
@@ -64,6 +64,7 @@ for name in \
 	derived/compiled-speedup-x1000 \
 	derived/compiled-void-speedup-x1000 \
 	derived/java-40KB-ns-per-byte \
+	derived/java-40KB-compiled-ns-per-byte \
 	derived/sampling-overhead-x1000; do
 	if [ -z "$(row_ns "$name")" ]; then
 		echo "bench_check: FAIL: expected derived row \"$name\" is missing from $report" >&2
