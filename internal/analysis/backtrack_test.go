@@ -117,3 +117,56 @@ B = "b"+ ;
 		t.Errorf("no competition anywhere, want empty memo set, got %v", got)
 	}
 }
+
+// TestCycleBreakersSharedPrefix: E is re-entered one byte in by its
+// second alternative, which no backtrack prefix covers. E sits on the
+// only call cycle, so it is the breaker.
+func TestCycleBreakersSharedPrefix(t *testing.T) {
+	g := composed(t, `
+public S = E !. ;
+E = "(" E ")" "x" / "(" E ")" "y" / "a" ;
+`)
+	a := analysis.Analyze(g)
+	prefixes := a.BacktrackPrefixes()
+	if prefixes["m.E"] {
+		t.Fatalf("E is never called before input is read; prefixes %v", names(prefixes))
+	}
+	if got := names(a.CycleBreakers(prefixes)); len(got) != 1 || !got["m.E"] {
+		t.Errorf("breakers = %v, want only m.E", got)
+	}
+}
+
+// TestCycleBreakersPickNestingEntry: on an expression tower the one
+// breaker is the production entered after "(", which runs once per
+// nesting level, not the per-operand levels below it.
+func TestCycleBreakersPickNestingEntry(t *testing.T) {
+	g := composed(t, `
+public S = Expr !. ;
+Expr = Term (("+" / "-") Term)* ;
+Term = Factor (("*" / "/") Factor)* ;
+Factor = Number / "(" Expr ")" ;
+Number = [0-9]+ ;
+`)
+	if got := names(analysis.Analyze(g).CycleBreakers(nil)); len(got) != 1 || !got["m.Expr"] {
+		t.Errorf("breakers = %v, want only m.Expr", got)
+	}
+}
+
+// TestCycleBreakersRespectMemoAndTransient: a cycle that already holds
+// a memoized production needs no breaker, and a transient production
+// is never picked even when it is the only nesting entry.
+func TestCycleBreakersRespectMemoAndTransient(t *testing.T) {
+	g := composed(t, `
+public S = A !. ;
+A = "(" B ")" / "a" ;
+B = "[" A "]" / "b" ;
+`)
+	a := analysis.Analyze(g)
+	if got := names(a.CycleBreakers(map[string]bool{"m.A": true})); len(got) != 0 {
+		t.Errorf("memoized A already breaks the cycle; breakers = %v", got)
+	}
+	g.Prods["m.A"].Attrs |= peg.AttrTransient
+	if got := names(analysis.Analyze(g).CycleBreakers(nil)); len(got) != 1 || !got["m.B"] {
+		t.Errorf("A is transient, want B as the breaker; got %v", got)
+	}
+}

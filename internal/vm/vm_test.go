@@ -414,6 +414,22 @@ E = "(" E ")" "x" / "(" E ")" "y" / "a" ;
 	if sBack.Calls <= sNaive.Calls*4 {
 		t.Fatalf("expected exponential blowup without memo: back=%d naive=%d", sBack.Calls, sNaive.Calls)
 	}
+	// The production engines memoize selectively but must stay linear.
+	// E's retries re-enter it after "(", not before reading input, so
+	// the compiled engine keeps it only as the breaker of its call cycle.
+	for _, opts := range []Options{Optimized(), CompiledEngine()} {
+		prog, err := Compile(tg, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, st, err := prog.Parse(context.Background(), text.NewSource("in", input), ParseOptions{})
+		if err != nil {
+			t.Fatalf("%v: %v", opts, err)
+		}
+		if st.Calls > sNaive.Calls*2 {
+			t.Errorf("%v: %d calls against naive packrat's %d: not linear", opts, st.Calls, sNaive.Calls)
+		}
+	}
 }
 
 func TestDeepRecursionDepth(t *testing.T) {
